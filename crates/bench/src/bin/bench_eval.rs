@@ -16,6 +16,7 @@
 use std::time::Instant;
 
 use hbh_experiments::figures::eval::run_seed;
+use hbh_experiments::gate::{Json, Obj};
 use hbh_experiments::protocols::{run_protocol, ProtocolKind};
 use hbh_experiments::report::Args;
 use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
@@ -77,33 +78,41 @@ fn main() {
     let total_events: u64 = points.iter().map(|p| p.events).sum();
     let total_runs = runs * sizes.len();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"topo\": \"{}\",\n", topo.name()));
-    json.push_str(&format!("  \"runs_per_point\": {runs},\n"));
-    json.push_str(&format!("  \"base_seed\": {base_seed},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group_size\": {}, \"wall_ms\": {:.3}, \"runs_per_sec\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.1}}}{}\n",
-            p.group_size,
-            p.wall_ms,
-            p.runs_per_sec,
-            p.events,
-            p.events_per_sec,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"total\": {{\"wall_ms\": {:.3}, \"runs\": {total_runs}, \
-         \"runs_per_sec\": {:.3}, \"events\": {total_events}, \"events_per_sec\": {:.1}}}\n",
-        total_wall * 1e3,
-        total_runs as f64 / total_wall,
-        total_events as f64 / total_wall,
-    ));
-    json.push_str("}\n");
+    let json = Obj::new()
+        .field("topo", topo.name())
+        .field("runs_per_point", runs)
+        .field("base_seed", base_seed)
+        .field(
+            "points",
+            points
+                .iter()
+                .map(|p| {
+                    Obj::new()
+                        .field("group_size", p.group_size)
+                        .field("wall_ms", Json::fixed(p.wall_ms, 3))
+                        .field("runs_per_sec", Json::fixed(p.runs_per_sec, 3))
+                        .field("events", p.events)
+                        .field("events_per_sec", Json::fixed(p.events_per_sec, 1))
+                        .into()
+                })
+                .collect::<Vec<Json>>(),
+        )
+        .field(
+            "total",
+            Obj::new()
+                .field("wall_ms", Json::fixed(total_wall * 1e3, 3))
+                .field("runs", total_runs)
+                .field(
+                    "runs_per_sec",
+                    Json::fixed(total_runs as f64 / total_wall, 3),
+                )
+                .field("events", total_events)
+                .field(
+                    "events_per_sec",
+                    Json::fixed(total_events as f64 / total_wall, 1),
+                ),
+        )
+        .render();
 
     std::fs::write(&out_path, &json).expect("writing benchmark report");
     eprintln!(

@@ -13,7 +13,8 @@
 //!     --smoke 1 --out /tmp/bench_membership_ci.json --check ci/membership_tolerance.txt
 //! ```
 //!
-//! The tolerance sheet is plain text, `#` comments, one rule per line:
+//! The tolerance sheet (rule syntax in [`hbh_experiments::gate`]) gates
+//! the whole sweep:
 //!
 //! ```text
 //! max_incomplete 0             # every expected receiver served, every cell
@@ -22,166 +23,98 @@
 //! max_agg_control_ratio 0.6    # aggregation must beat plain HBH's storm
 //! ```
 
-use std::process::ExitCode;
 use std::time::Instant;
 
-use hbh_experiments::membership::{run_membership, MembershipConfig, MembershipReport};
+use hbh_experiments::gate::{check_or_exit, peak_rss_kb, Json, Obj};
+use hbh_experiments::membership::{
+    run_membership, MembershipConfig, MembershipOutcome, MembershipReport,
+};
 use hbh_experiments::report::Args;
 use hbh_topo::hier::TierSpec;
 
-/// Peak resident set of this process in kB, from `/proc/self/status`
-/// (`VmHWM`). Linux-only; 0 where the file or field is missing.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse().ok())
+/// The outcome columns shared by comparison cells and storm points,
+/// appended to `row` (`served` onwards).
+fn outcome_fields(row: Obj, o: &MembershipOutcome) -> Json {
+    row.field("served", o.served)
+        .field("converged", o.converged)
+        .field(
+            "settle_latency",
+            o.settle_latency.map_or(-1i64, |l| l as i64),
+        )
+        .field("control_copies", o.control_copies)
+        .field(
+            "control_per_receiver",
+            Json::fixed(o.control_per_receiver(), 2),
+        )
+        .field("interior_state_max", o.interior_state_max)
+        .field("interior_state_mean", Json::fixed(o.interior_state_mean, 1))
+        .field("access_state_max", o.access_state_max)
+        .into()
+}
+
+fn render_json(report: &MembershipReport, cfg: &MembershipConfig, peak_kb: u64) -> String {
+    let comparison = report
+        .comparison
+        .iter()
+        .map(|arm| {
+            let row = Obj::new()
+                .field("workload", arm.workload)
+                .field("protocol", arm.kind.name())
+                .field("expected", arm.outcome.expected);
+            outcome_fields(row, &arm.outcome)
         })
-        .unwrap_or(0)
+        .collect::<Vec<Json>>();
+    let storm = report
+        .storm
+        .iter()
+        .map(|p| outcome_fields(Obj::new().field("receivers", p.receivers), &p.outcome))
+        .collect::<Vec<Json>>();
+    Obj::new()
+        .field(
+            "topology",
+            Obj::new()
+                .field("ases", cfg.spec.ases)
+                .field("pops_per_as", cfg.spec.pops_per_as)
+                .field("access_per_pop", cfg.spec.access_per_pop)
+                .field("routers", report.routers)
+                .field("hosts", report.hosts),
+        )
+        .field(
+            "sweep",
+            Obj::new()
+                .field("group_size", report.group_size)
+                .field("channels", report.channels)
+                .field("zipf_exponent", cfg.zipf_exponent)
+                .field("zaps", cfg.zaps)
+                .field("base_seed", cfg.base_seed),
+        )
+        .field("comparison", comparison)
+        .field("storm", storm)
+        .field(
+            "acceptance",
+            Obj::new()
+                .field("incomplete", report.incomplete())
+                .field("unconverged", report.unconverged())
+                .field(
+                    "storm_state_exponent",
+                    Json::fixed(report.storm_state_exponent(), 4),
+                )
+                .field(
+                    "agg_control_ratio",
+                    Json::fixed(report.agg_control_ratio(), 4),
+                ),
+        )
+        .field(
+            "throughput",
+            Obj::new()
+                .field("wall_ms", Json::fixed(report.wall_secs * 1e3, 1))
+                .field("events", report.events)
+                .field("peak_rss_kb", peak_kb),
+        )
+        .render()
 }
 
-/// Checks `report` against the rules of a tolerance sheet. Returns the
-/// violated rules, empty when everything passes.
-fn check_tolerances(sheet: &str, report: &MembershipReport) -> Vec<String> {
-    let mut violations = Vec::new();
-    for line in sheet.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["max_incomplete", bound] => {
-                let bound: u64 = bound.parse().expect("max_incomplete bound");
-                if report.incomplete() > bound {
-                    violations.push(format!(
-                        "{} incomplete cells exceed bound {bound}",
-                        report.incomplete(),
-                    ));
-                }
-            }
-            ["max_unconverged", bound] => {
-                let bound: u64 = bound.parse().expect("max_unconverged bound");
-                if report.unconverged() > bound {
-                    violations.push(format!(
-                        "{} unconverged cells exceed bound {bound}",
-                        report.unconverged(),
-                    ));
-                }
-            }
-            ["max_storm_state_exponent", bound] => {
-                let bound: f64 = bound.parse().expect("max_storm_state_exponent bound");
-                if report.storm_state_exponent() > bound {
-                    violations.push(format!(
-                        "interior-state growth exponent {:.3} above bound {bound} \
-                         (must stay sublinear in receivers)",
-                        report.storm_state_exponent(),
-                    ));
-                }
-            }
-            ["max_agg_control_ratio", bound] => {
-                let bound: f64 = bound.parse().expect("max_agg_control_ratio bound");
-                let ratio = report.agg_control_ratio();
-                if ratio.is_nan() || ratio > bound {
-                    violations.push(format!(
-                        "HBH-AGG/HBH flash-crowd control ratio {ratio:.3} above bound {bound}"
-                    ));
-                }
-            }
-            other => panic!("unrecognised tolerance rule: {other:?}"),
-        }
-    }
-    violations
-}
-
-fn render_json(
-    report: &MembershipReport,
-    cfg: &MembershipConfig,
-    base_seed: u64,
-    peak_kb: u64,
-) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
-         \"routers\": {}, \"hosts\": {}}},\n",
-        cfg.spec.ases, cfg.spec.pops_per_as, cfg.spec.access_per_pop, report.routers, report.hosts,
-    ));
-    json.push_str(&format!(
-        "  \"sweep\": {{\"group_size\": {}, \"channels\": {}, \"zipf_exponent\": {}, \
-         \"zaps\": {}, \"base_seed\": {base_seed}}},\n",
-        report.group_size, report.channels, cfg.zipf_exponent, cfg.zaps,
-    ));
-    json.push_str("  \"comparison\": [\n");
-    for (i, arm) in report.comparison.iter().enumerate() {
-        let o = &arm.outcome;
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"protocol\": \"{}\", \"expected\": {}, \
-             \"served\": {}, \"converged\": {}, \"settle_latency\": {}, \
-             \"control_copies\": {}, \"control_per_receiver\": {:.2}, \
-             \"interior_state_max\": {}, \"interior_state_mean\": {:.1}, \
-             \"access_state_max\": {}}}{}\n",
-            arm.workload,
-            arm.kind.name(),
-            o.expected,
-            o.served,
-            o.converged,
-            o.settle_latency.map_or(-1i64, |l| l as i64),
-            o.control_copies,
-            o.control_per_receiver(),
-            o.interior_state_max,
-            o.interior_state_mean,
-            o.access_state_max,
-            if i + 1 < report.comparison.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"storm\": [\n");
-    for (i, p) in report.storm.iter().enumerate() {
-        let o = &p.outcome;
-        json.push_str(&format!(
-            "    {{\"receivers\": {}, \"served\": {}, \"converged\": {}, \
-             \"settle_latency\": {}, \"control_copies\": {}, \"control_per_receiver\": {:.2}, \
-             \"interior_state_max\": {}, \"interior_state_mean\": {:.1}, \
-             \"access_state_max\": {}}}{}\n",
-            p.receivers,
-            o.served,
-            o.converged,
-            o.settle_latency.map_or(-1i64, |l| l as i64),
-            o.control_copies,
-            o.control_per_receiver(),
-            o.interior_state_max,
-            o.interior_state_mean,
-            o.access_state_max,
-            if i + 1 < report.storm.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"acceptance\": {{\"incomplete\": {}, \"unconverged\": {}, \
-         \"storm_state_exponent\": {:.4}, \"agg_control_ratio\": {:.4}}},\n",
-        report.incomplete(),
-        report.unconverged(),
-        report.storm_state_exponent(),
-        report.agg_control_ratio(),
-    ));
-    json.push_str(&format!(
-        "  \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"peak_rss_kb\": {peak_kb}}}\n",
-        report.wall_secs * 1e3,
-        report.events,
-    ));
-    json.push_str("}\n");
-    json
-}
-
-fn main() -> ExitCode {
+fn main() {
     let args = Args::parse(&[
         "ases", "pops", "access", "hosts", "group", "channels", "zaps", "seed", "cache", "out",
         "smoke", "check",
@@ -231,20 +164,9 @@ fn main() -> ExitCode {
         peak_kb,
     );
 
-    let json = render_json(&report, &cfg, cfg.base_seed, peak_kb);
+    let json = render_json(&report, &cfg, peak_kb);
     std::fs::write(&out_path, &json).expect("writing benchmark report");
     print!("{json}");
 
-    if let Some(sheet_path) = args.get("check") {
-        let sheet = std::fs::read_to_string(sheet_path).expect("reading tolerance sheet");
-        let violations = check_tolerances(&sheet, &report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("TOLERANCE VIOLATION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("tolerances OK ({sheet_path})");
-    }
-    ExitCode::SUCCESS
+    check_or_exit(&args, &report);
 }

@@ -13,7 +13,8 @@
 //!     --smoke 1 --out /tmp/bench_scale_ci.json --check ci/scale_tolerance.txt
 //! ```
 //!
-//! The tolerance sheet is plain text, `#` comments, one rule per line:
+//! The tolerance sheet (rule syntax in [`hbh_experiments::gate`]) gates
+//! the whole sweep:
 //!
 //! ```text
 //! min_memory_ratio 4.0    # cache must beat all-pairs by this factor
@@ -22,156 +23,84 @@
 //! max_unconverged 0
 //! ```
 
-use std::process::ExitCode;
 use std::time::Instant;
 
+use hbh_experiments::gate::{check_or_exit, peak_rss_kb, Json, Obj};
 use hbh_experiments::report::Args;
 use hbh_experiments::scale::{run_scale, ScaleConfig, ScaleReport};
 use hbh_topo::hier::TierSpec;
 
-/// Peak resident set of this process in kB, from `/proc/self/status`
-/// (`VmHWM`). Linux-only; 0 where the file or field is missing.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse().ok())
+fn render_json(report: &ScaleReport, cfg: &ScaleConfig, peak_kb: u64) -> String {
+    let protocols = report
+        .per_protocol
+        .iter()
+        .map(|arm| {
+            Obj::new()
+                .field("name", arm.kind.name())
+                .field("cost_mean", Json::fixed(arm.cost_mean, 3))
+                .field("delay_mean", Json::fixed(arm.delay_mean, 3))
+                .field("incomplete", arm.incomplete)
+                .field("unconverged", arm.unconverged)
+                .field("events", arm.events)
+                .into()
         })
-        .unwrap_or(0)
-}
-
-/// Checks `report` against the rules of a tolerance sheet. Returns the
-/// violated rules, empty when everything passes.
-fn check_tolerances(sheet: &str, report: &ScaleReport) -> Vec<String> {
-    let mut violations = Vec::new();
-    for line in sheet.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["min_memory_ratio", bound] => {
-                let bound: f64 = bound.parse().expect("min_memory_ratio bound");
-                if report.memory_ratio() < bound {
-                    violations.push(format!(
-                        "memory ratio {:.2} below bound {bound} \
-                         (route cache {} B vs all-pairs {} B)",
-                        report.memory_ratio(),
-                        report.route_bytes,
-                        report.all_pairs_bytes,
-                    ));
-                }
-            }
-            ["min_hit_rate", bound] => {
-                let bound: f64 = bound.parse().expect("min_hit_rate bound");
-                if report.hit_rate() < bound {
-                    violations.push(format!(
-                        "cache hit rate {:.3} below bound {bound} ({} hits / {} misses)",
-                        report.hit_rate(),
-                        report.route_stats.hits,
-                        report.route_stats.misses,
-                    ));
-                }
-            }
-            ["max_incomplete", bound] => {
-                let bound: u64 = bound.parse().expect("max_incomplete bound");
-                if report.incomplete() > bound {
-                    violations.push(format!(
-                        "{} incomplete runs exceed bound {bound}",
-                        report.incomplete(),
-                    ));
-                }
-            }
-            ["max_unconverged", bound] => {
-                let bound: u64 = bound.parse().expect("max_unconverged bound");
-                let unconverged: u64 = report.per_protocol.iter().map(|a| a.unconverged).sum();
-                if unconverged > bound {
-                    violations.push(format!(
-                        "{unconverged} unconverged runs exceed bound {bound}"
-                    ));
-                }
-            }
-            other => panic!("unrecognised tolerance rule: {other:?}"),
-        }
-    }
-    violations
-}
-
-fn render_json(report: &ScaleReport, cfg: &ScaleConfig, base_seed: u64, peak_kb: u64) -> String {
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"topology\": {{\"ases\": {}, \"pops_per_as\": {}, \"access_per_pop\": {}, \
-         \"routers\": {}, \"hosts\": {}, \"directed_edges\": {}}},\n",
-        cfg.spec.ases,
-        cfg.spec.pops_per_as,
-        cfg.spec.access_per_pop,
-        report.routers,
-        report.hosts,
-        report.directed_edges,
-    ));
-    json.push_str(&format!(
-        "  \"sweep\": {{\"runs\": {}, \"group_size\": {}, \"base_seed\": {base_seed}}},\n",
-        report.runs, report.group_size,
-    ));
-    json.push_str("  \"protocols\": [\n");
-    for (i, arm) in report.per_protocol.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cost_mean\": {:.3}, \"delay_mean\": {:.3}, \
-             \"incomplete\": {}, \"unconverged\": {}, \"events\": {}}}{}\n",
-            arm.kind.name(),
-            arm.cost_mean,
-            arm.delay_mean,
-            arm.incomplete,
-            arm.unconverged,
-            arm.events,
-            if i + 1 < report.per_protocol.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
-    json.push_str("  ],\n");
+        .collect::<Vec<Json>>();
     let s = &report.route_stats;
-    json.push_str(&format!(
-        "  \"routes\": {{\"cache_rows\": {}, \"computed\": {}, \"hits\": {}, \"misses\": {}, \
-         \"evicted\": {}, \"invalidated\": {}, \"peak_cached_rows\": {}, \
-         \"cache_hit_rate\": {:.4}}},\n",
-        report.cache_rows,
-        s.computed,
-        s.hits,
-        s.misses,
-        s.evicted,
-        s.invalidated,
-        s.cached_rows,
-        report.hit_rate(),
-    ));
-    json.push_str(&format!(
-        "  \"memory\": {{\"route_bytes\": {}, \"bytes_per_router\": {:.1}, \
-         \"all_pairs_bytes\": {}, \"memory_ratio\": {:.2}, \"csr_bytes\": {}, \
-         \"peak_rss_kb\": {peak_kb}}},\n",
-        report.route_bytes,
-        report.route_bytes as f64 / report.routers as f64,
-        report.all_pairs_bytes,
-        report.memory_ratio(),
-        report.csr_bytes,
-    ));
-    json.push_str(&format!(
-        "  \"throughput\": {{\"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}}}\n",
-        report.wall_secs * 1e3,
-        report.events,
-        report.events_per_sec,
-    ));
-    json.push_str("}\n");
-    json
+    Obj::new()
+        .field(
+            "topology",
+            Obj::new()
+                .field("ases", cfg.spec.ases)
+                .field("pops_per_as", cfg.spec.pops_per_as)
+                .field("access_per_pop", cfg.spec.access_per_pop)
+                .field("routers", report.routers)
+                .field("hosts", report.hosts)
+                .field("directed_edges", report.directed_edges),
+        )
+        .field(
+            "sweep",
+            Obj::new()
+                .field("runs", report.runs)
+                .field("group_size", report.group_size)
+                .field("base_seed", cfg.base_seed),
+        )
+        .field("protocols", protocols)
+        .field(
+            "routes",
+            Obj::new()
+                .field("cache_rows", report.cache_rows)
+                .field("computed", s.computed)
+                .field("hits", s.hits)
+                .field("misses", s.misses)
+                .field("evicted", s.evicted)
+                .field("invalidated", s.invalidated)
+                .field("peak_cached_rows", s.cached_rows)
+                .field("cache_hit_rate", Json::fixed(report.hit_rate(), 4)),
+        )
+        .field(
+            "memory",
+            Obj::new()
+                .field("route_bytes", report.route_bytes)
+                .field(
+                    "bytes_per_router",
+                    Json::fixed(report.route_bytes as f64 / report.routers as f64, 1),
+                )
+                .field("all_pairs_bytes", report.all_pairs_bytes)
+                .field("memory_ratio", Json::fixed(report.memory_ratio(), 2))
+                .field("csr_bytes", report.csr_bytes)
+                .field("peak_rss_kb", peak_kb),
+        )
+        .field(
+            "throughput",
+            Obj::new()
+                .field("wall_ms", Json::fixed(report.wall_secs * 1e3, 1))
+                .field("events", report.events)
+                .field("events_per_sec", Json::fixed(report.events_per_sec, 1)),
+        )
+        .render()
 }
 
-fn main() -> ExitCode {
+fn main() {
     let args = Args::parse(&[
         "ases", "pops", "access", "hosts", "group", "runs", "seed", "cache", "out", "smoke",
         "check",
@@ -219,20 +148,9 @@ fn main() -> ExitCode {
         peak_kb,
     );
 
-    let json = render_json(&report, &cfg, cfg.base_seed, peak_kb);
+    let json = render_json(&report, &cfg, peak_kb);
     std::fs::write(&out_path, &json).expect("writing benchmark report");
     print!("{json}");
 
-    if let Some(sheet_path) = args.get("check") {
-        let sheet = std::fs::read_to_string(sheet_path).expect("reading tolerance sheet");
-        let violations = check_tolerances(&sheet, &report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("TOLERANCE VIOLATION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("tolerances OK ({sheet_path})");
-    }
-    ExitCode::SUCCESS
+    check_or_exit(&args, &report);
 }

@@ -15,60 +15,19 @@
 //! failed to restore full service after the router restarted, or if a
 //! `--check` tolerance is violated.
 //!
-//! ## `--check FILE`
-//!
-//! `FILE` is a plain-text tolerance sheet for regression gating (CI runs
-//! it at a pinned seed). Lines are `#` comments or:
+//! `--check FILE` gates the run on a tolerance sheet (CI runs it at a
+//! pinned seed; rule syntax in [`hbh_experiments::gate`]). The gated
+//! metric is each arm's mean repair latency:
 //!
 //! ```text
 //! max_repair <PROTOCOL> <mean>   # mean repair latency must be <= mean
 //! faster <A> <B>                 # A's mean repair must be strictly < B's
 //! ```
 
-use hbh_experiments::figures::churn::{evaluate, render, render_json, ChurnConfig, ChurnReport};
+use hbh_experiments::figures::churn::{evaluate, render, render_json, ChurnConfig};
+use hbh_experiments::gate::check_or_exit;
 use hbh_experiments::report::Args;
 use hbh_experiments::runner::RunConfig;
-
-/// Applies the tolerance sheet; returns human-readable violations.
-fn check_tolerances(sheet: &str, cfg: &ChurnConfig, report: &ChurnReport) -> Vec<String> {
-    let mean_of = |name: &str| -> Option<f64> {
-        cfg.protocols
-            .iter()
-            .position(|k| k.name() == name)
-            .map(|i| report.points[i].repair_latency.mean())
-    };
-    let mut violations = Vec::new();
-    for (lineno, line) in sheet.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["max_repair", proto, bound] => {
-                let bound: f64 = bound
-                    .parse()
-                    .unwrap_or_else(|_| panic!("line {}: bad bound {bound}", lineno + 1));
-                match mean_of(proto) {
-                    Some(mean) if mean <= bound => {}
-                    Some(mean) => violations.push(format!(
-                        "{proto}: mean repair latency {mean:.0} exceeds tolerance {bound:.0}"
-                    )),
-                    None => violations.push(format!("{proto}: not an arm of this run")),
-                }
-            }
-            ["faster", a, b] => match (mean_of(a), mean_of(b)) {
-                (Some(ma), Some(mb)) if ma < mb => {}
-                (Some(ma), Some(mb)) => violations.push(format!(
-                    "{a} (mean {ma:.0}) must repair strictly faster than {b} (mean {mb:.0})"
-                )),
-                _ => violations.push(format!("faster {a} {b}: arm missing from this run")),
-            },
-            _ => panic!("line {}: unrecognized tolerance rule: {line}", lineno + 1),
-        }
-    }
-    violations
-}
 
 fn main() {
     let mut allowed: Vec<&str> = RunConfig::STANDARD_ARGS.to_vec();
@@ -101,16 +60,5 @@ fn main() {
         }
     }
 
-    if let Some(sheet_path) = args.get("check") {
-        let sheet = std::fs::read_to_string(sheet_path)
-            .unwrap_or_else(|e| panic!("read tolerance sheet {sheet_path}: {e}"));
-        let violations = check_tolerances(&sheet, &cfg, &report);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("TOLERANCE VIOLATION: {v}");
-            }
-            std::process::exit(1);
-        }
-        println!("# tolerances OK ({sheet_path})");
-    }
+    check_or_exit(&args, &(&cfg, &report));
 }

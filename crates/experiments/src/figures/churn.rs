@@ -24,6 +24,7 @@
 //! skipped (and counted).
 
 use crate::datapath::traced_probe;
+use crate::gate::{Gated, Json, Obj};
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::report::Table;
 use crate::runner::{converge, probe_tolerant, probe_window};
@@ -435,67 +436,54 @@ pub fn render(cfg: &ChurnConfig, report: &ChurnReport) -> Table {
 
 /// Machine-readable report: one JSON object per protocol arm, with the
 /// run parameters alongside so a consumer can tell two sweeps apart.
-/// Hand-rolled (the workspace deliberately carries no JSON dependency);
-/// every value is a finite number or an integer, so no escaping issues
-/// arise beyond the protocol names, which are static ASCII.
+/// Means print with three decimals, `null` when no run contributed.
 pub fn render_json(cfg: &ChurnConfig, report: &ChurnReport) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
+    let mean = |s: &Summary| Json::fixed(s.mean(), 3);
+    let arms = cfg
+        .protocols
+        .iter()
+        .zip(&report.points)
+        .map(|(kind, p)| {
+            Obj::new()
+                .field("protocol", kind.name())
+                .field("repair_latency_mean", mean(&p.repair_latency))
+                .field(
+                    "repair_latency_ci95",
+                    Json::fixed(p.repair_latency.ci95(), 3),
+                )
+                .field("probe_misses_mean", mean(&p.lost))
+                .field("duplicates_mean", mean(&p.duplicates))
+                .field("perturbed_innocents_mean", mean(&p.perturbed))
+                .field("control_msgs_mean", mean(&p.control))
+                .field("retransmissions_mean", mean(&p.retransmits))
+                .field("state_bytes_per_router_mean", mean(&p.state_bytes))
+                .field("unrepaired_runs", p.unrepaired)
+                .field("unrecovered_runs", p.unrecovered)
+                .into()
+        })
+        .collect::<Vec<Json>>();
+    Obj::new()
+        .field("experiment", "churn")
+        .field("topology", cfg.topo.name())
+        .field("group_size", cfg.group_size)
+        .field("runs", cfg.runs)
+        .field("base_seed", cfg.base_seed)
+        .field("skipped_runs", report.skipped)
+        .field("arms", arms)
+        .render()
+}
+
+/// Gated metric (`ci/churn_tolerance.txt`): per-arm mean repair latency,
+/// as `repair` and as the `faster` ranking.
+impl Gated for (&ChurnConfig, &ChurnReport) {
+    fn gated(&self, metric: &str, arm: Option<&str>) -> Option<f64> {
+        let (cfg, report) = self;
+        let i = cfg.protocols.iter().position(|k| Some(k.name()) == arm)?;
+        match metric {
+            "repair" | "faster" => Some(report.points[i].repair_latency.mean()),
+            _ => None,
         }
     }
-    let mut arms = Vec::new();
-    for (kind, p) in cfg.protocols.iter().zip(&report.points) {
-        arms.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"protocol\": \"{}\",\n",
-                "      \"repair_latency_mean\": {},\n",
-                "      \"repair_latency_ci95\": {},\n",
-                "      \"probe_misses_mean\": {},\n",
-                "      \"duplicates_mean\": {},\n",
-                "      \"perturbed_innocents_mean\": {},\n",
-                "      \"control_msgs_mean\": {},\n",
-                "      \"retransmissions_mean\": {},\n",
-                "      \"state_bytes_per_router_mean\": {},\n",
-                "      \"unrepaired_runs\": {},\n",
-                "      \"unrecovered_runs\": {}\n",
-                "    }}"
-            ),
-            kind.name(),
-            num(p.repair_latency.mean()),
-            num(p.repair_latency.ci95()),
-            num(p.lost.mean()),
-            num(p.duplicates.mean()),
-            num(p.perturbed.mean()),
-            num(p.control.mean()),
-            num(p.retransmits.mean()),
-            num(p.state_bytes.mean()),
-            p.unrepaired,
-            p.unrecovered,
-        ));
-    }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"churn\",\n",
-            "  \"topology\": \"{}\",\n",
-            "  \"group_size\": {},\n",
-            "  \"runs\": {},\n",
-            "  \"base_seed\": {},\n",
-            "  \"skipped_runs\": {},\n",
-            "  \"arms\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        cfg.topo.name(),
-        cfg.group_size,
-        cfg.runs,
-        cfg.base_seed,
-        report.skipped,
-        arms.join(",\n")
-    )
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 
 pub mod datapath;
 pub mod figures;
+pub mod gate;
 pub mod membership;
 pub mod parallel;
 pub mod protocols;

@@ -21,6 +21,7 @@
 //! HBH-AGG alone to 10⁵ receivers and fits the growth exponent of the
 //! interior maximum — the sublinearity acceptance number.
 
+use crate::gate::Gated;
 use crate::protocols::{dispatch, ProtocolKind, Study};
 use crate::runner::{converge, probe_tolerant, probe_window};
 use crate::scenario::Scenario;
@@ -329,6 +330,23 @@ impl MembershipReport {
         match (copies(ProtocolKind::HbhAgg), copies(ProtocolKind::Hbh)) {
             (Some(agg), Some(plain)) => agg as f64 / plain.max(1) as f64,
             _ => f64::NAN,
+        }
+    }
+}
+
+/// Gated metrics (`ci/membership_tolerance.txt`): `incomplete`,
+/// `unconverged`, `storm_state_exponent`, `agg_control_ratio`.
+impl Gated for MembershipReport {
+    fn gated(&self, metric: &str, arm: Option<&str>) -> Option<f64> {
+        if arm.is_some() {
+            return None;
+        }
+        match metric {
+            "incomplete" => Some(self.incomplete() as f64),
+            "unconverged" => Some(self.unconverged() as f64),
+            "storm_state_exponent" => Some(self.storm_state_exponent()),
+            "agg_control_ratio" => Some(self.agg_control_ratio()),
+            _ => None,
         }
     }
 }

@@ -48,7 +48,12 @@ where
             })
             .collect();
         for h in handles {
-            out.extend(h.join().expect("worker panicked"));
+            // Re-raise with the worker's own payload, so the caller sees
+            // the original panic message rather than a generic one.
+            match h.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
     out

@@ -18,6 +18,7 @@
 //! placement scans routers × hosts, an all-pairs consumer by design (see
 //! `protocols::pick_rp_with`).
 
+use crate::gate::Gated;
 use crate::protocols::{run_protocol, ProtocolKind};
 use crate::scenario::Scenario;
 use hbh_proto_base::workload::{join_schedule, sample_receivers};
@@ -158,6 +159,28 @@ impl ScaleReport {
     /// Total incomplete runs across arms.
     pub fn incomplete(&self) -> u64 {
         self.per_protocol.iter().map(|a| a.incomplete).sum()
+    }
+
+    /// Total unconverged runs across arms.
+    pub fn unconverged(&self) -> u64 {
+        self.per_protocol.iter().map(|a| a.unconverged).sum()
+    }
+}
+
+/// Gated metrics (`ci/scale_tolerance.txt`): `memory_ratio`, `hit_rate`,
+/// `incomplete`, `unconverged`, all over the whole sweep.
+impl Gated for ScaleReport {
+    fn gated(&self, metric: &str, arm: Option<&str>) -> Option<f64> {
+        if arm.is_some() {
+            return None;
+        }
+        match metric {
+            "memory_ratio" => Some(self.memory_ratio()),
+            "hit_rate" => Some(self.hit_rate()),
+            "incomplete" => Some(self.incomplete() as f64),
+            "unconverged" => Some(self.unconverged() as f64),
+            _ => None,
+        }
     }
 }
 
