@@ -18,6 +18,7 @@ use hbh_experiments::scenario::TopologyKind;
 fn main() {
     let args = Args::parse(&["runs", "group", "topo", "seed"]);
     let mut cfg = AsymmetryConfig::default_with_runs(args.get_parse("runs", 100));
+    cfg.threads = hbh_experiments::parallel::threads_from_env();
     cfg.group_size = args.get_parse("group", 10);
     cfg.base_seed = args.get_parse("seed", 1);
     if let Some(t) = args.get("topo") {

@@ -14,6 +14,7 @@ use hbh_experiments::report::Args;
 fn main() {
     let args = Args::parse(&["runs", "rx", "seed"]);
     let mut cfg = GroupsConfig::default_with_runs(args.get_parse("runs", 20));
+    cfg.threads = hbh_experiments::parallel::threads_from_env();
     cfg.receivers_per_group = args.get_parse("rx", 5);
     cfg.base_seed = args.get_parse("seed", 1);
     let rows = evaluate(&cfg);

@@ -15,6 +15,7 @@ use hbh_experiments::scenario::TopologyKind;
 fn main() {
     let args = Args::parse(&["runs", "topo", "seed"]);
     let mut cfg = OverheadConfig::default_with_runs(args.get_parse("runs", 50));
+    cfg.threads = hbh_experiments::parallel::threads_from_env();
     cfg.base_seed = args.get_parse("seed", 1);
     if let Some(t) = args.get("topo") {
         cfg.topo = TopologyKind::parse(t).expect("--topo must be isp or rand50");

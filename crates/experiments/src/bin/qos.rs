@@ -16,6 +16,7 @@ use hbh_experiments::scenario::TopologyKind;
 fn main() {
     let args = Args::parse(&["runs", "group", "topo", "seed", "minbw"]);
     let mut cfg = QosConfig::default_with_runs(args.get_parse("runs", 100));
+    cfg.threads = hbh_experiments::parallel::threads_from_env();
     cfg.group_size = args.get_parse("group", 8);
     cfg.base_seed = args.get_parse("seed", 1);
     cfg.min_bw = args.get_parse("minbw", 4);

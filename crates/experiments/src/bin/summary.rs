@@ -66,6 +66,7 @@ fn main() {
 
     let mut acfg = asymmetry::AsymmetryConfig::default_with_runs((runs / 2).max(3));
     acfg.steps = vec![0.0, 1.0];
+    acfg.threads = run.threads;
     let pts = asymmetry::evaluate_sweep(&acfg);
     let adv = |p: &asymmetry::AsymmetryPoint| {
         hbh_experiments::figures::eval::hbh_advantage_over_reunite(
@@ -83,12 +84,13 @@ fn main() {
 
     let mut ccfg = clouds::CloudsConfig::default_with_runs((runs / 2).max(3));
     ccfg.fractions = vec![0.6];
+    ccfg.threads = run.threads;
     let pts = clouds::evaluate_sweep(&ccfg);
     let inc: u64 = pts[0].point.per_protocol.iter().map(|p| p.incomplete).sum();
     println!("clouds: at 60% unicast-only routers, incomplete runs = {inc}");
 
     let qcfg = qos::QosConfig {
-        runs,
+        threads: run.threads,
         ..qos::QosConfig::default_with_runs(runs)
     };
     let rep = qos::evaluate(&qcfg);

@@ -15,6 +15,7 @@ use hbh_experiments::scenario::TopologyKind;
 fn main() {
     let args = Args::parse(&["runs", "group", "topo", "seed"]);
     let mut cfg = TimersConfig::default_with_runs(args.get_parse("runs", 50));
+    cfg.threads = hbh_experiments::parallel::threads_from_env();
     cfg.group_size = args.get_parse("group", 8);
     cfg.base_seed = args.get_parse("seed", 1);
     if let Some(t) = args.get("topo") {

@@ -18,6 +18,9 @@ pub struct AsymmetryConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub steps: Vec<f64>,
     pub timing: Timing,
@@ -29,6 +32,7 @@ impl AsymmetryConfig {
             topo: TopologyKind::Isp,
             group_size: 10,
             runs,
+            threads: None,
             base_seed: 1,
             steps: vec![0.0, 0.25, 0.5, 0.75, 1.0],
             timing: Timing::default(),
@@ -50,6 +54,7 @@ pub fn evaluate_sweep(cfg: &AsymmetryConfig) -> Vec<AsymmetryPoint> {
                 topo: cfg.topo,
                 sizes: vec![cfg.group_size],
                 runs: cfg.runs,
+                threads: cfg.threads,
                 base_seed: cfg.base_seed ^ ((a * 1000.0) as u64) << 20,
                 timing: cfg.timing,
                 opts: ScenarioOptions {

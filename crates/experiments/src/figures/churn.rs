@@ -281,6 +281,9 @@ pub struct ChurnConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub timing: Timing,
     pub protocols: Vec<ProtocolKind>,
@@ -297,6 +300,7 @@ impl ChurnConfig {
             topo: run.topo,
             group_size: 8,
             runs: run.runs,
+            threads: run.threads,
             base_seed: run.base_seed,
             timing: run.timing,
             protocols: ProtocolKind::CHURN_ARMS.to_vec(),
@@ -312,7 +316,7 @@ pub struct ChurnReport {
 }
 
 pub fn evaluate(cfg: &ChurnConfig) -> ChurnReport {
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
         let sc = build(
             cfg.topo,
             cfg.group_size,

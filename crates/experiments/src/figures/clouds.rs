@@ -19,6 +19,9 @@ pub struct CloudsConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub fractions: Vec<f64>,
     pub timing: Timing,
@@ -30,6 +33,7 @@ impl CloudsConfig {
             topo: TopologyKind::Isp,
             group_size: 10,
             runs,
+            threads: None,
             base_seed: 1,
             fractions: vec![0.0, 0.2, 0.4, 0.6, 0.8],
             timing: Timing::default(),
@@ -51,6 +55,7 @@ pub fn evaluate_sweep(cfg: &CloudsConfig) -> Vec<CloudsPoint> {
                 topo: cfg.topo,
                 sizes: vec![cfg.group_size],
                 runs: cfg.runs,
+                threads: cfg.threads,
                 base_seed: cfg.base_seed ^ ((f * 1000.0) as u64) << 20,
                 timing: cfg.timing,
                 opts: ScenarioOptions {

@@ -37,6 +37,9 @@ pub struct EvalConfig {
     pub topo: TopologyKind,
     pub sizes: Vec<usize>,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub timing: Timing,
     pub opts: ScenarioOptions,
@@ -52,6 +55,7 @@ impl EvalConfig {
             topo: run.topo,
             sizes: run.topo.paper_group_sizes(),
             runs: run.runs,
+            threads: run.threads,
             base_seed: run.base_seed,
             timing: run.timing,
             opts: run.opts,
@@ -98,7 +102,7 @@ pub fn evaluate(cfg: &EvalConfig) -> Vec<EvalPoint> {
 fn evaluate_point(cfg: &EvalConfig, group_size: usize) -> EvalPoint {
     // One row of per-protocol outcomes per run, back in run order, so the
     // Summary fold below is independent of worker scheduling.
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
         let seed = run_seed(cfg.base_seed, group_size, run);
         let sc = build(cfg.topo, group_size, seed, &cfg.timing, &cfg.opts);
         cfg.protocols

@@ -131,6 +131,9 @@ pub struct GroupsConfig {
     pub group_counts: Vec<usize>,
     pub receivers_per_group: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub timing: Timing,
 }
@@ -141,6 +144,7 @@ impl GroupsConfig {
             group_counts: vec![1, 4, 8, 16],
             receivers_per_group: 5,
             runs,
+            threads: None,
             base_seed: 1,
             timing: Timing::default(),
         }
@@ -160,7 +164,7 @@ pub fn evaluate(cfg: &GroupsConfig) -> Vec<(usize, Vec<GroupsPoint>)> {
     cfg.group_counts
         .iter()
         .map(|&g| {
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
                 let sc = build_multi(
                     g,
                     cfg.receivers_per_group,

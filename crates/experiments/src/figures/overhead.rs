@@ -42,6 +42,9 @@ pub struct OverheadConfig {
     pub topo: TopologyKind,
     pub sizes: Vec<usize>,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub timing: Timing,
     pub protocols: Vec<ProtocolKind>,
@@ -53,6 +56,7 @@ impl OverheadConfig {
             topo: TopologyKind::Isp,
             sizes: vec![2, 8, 16],
             runs,
+            threads: None,
             base_seed: 1,
             timing: Timing::default(),
             protocols: ProtocolKind::ALL.to_vec(),
@@ -64,7 +68,7 @@ pub fn evaluate(cfg: &OverheadConfig) -> Vec<(usize, Vec<Summary>)> {
     cfg.sizes
         .iter()
         .map(|&m| {
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
                 let sc = build(
                     cfg.topo,
                     m,

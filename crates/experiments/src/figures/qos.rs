@@ -44,6 +44,9 @@ pub struct QosConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub min_bw: Bandwidth,
     pub timing: Timing,
@@ -55,6 +58,7 @@ impl QosConfig {
             topo: TopologyKind::Isp,
             group_size: 8,
             runs,
+            threads: None,
             base_seed: 1,
             min_bw: 4,
             timing: Timing::default(),
@@ -119,7 +123,7 @@ pub const QOS_PROTOCOL_NAMES: [&str; 3] = ["HBH", "REUNITE", "PIM-SS"];
 
 pub fn evaluate(cfg: &QosConfig) -> QosReport {
     // `None` marks a run whose channel was not admissible under the floor.
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
         let seed = cfg.base_seed ^ ((run as u64) << 18);
         let sc = build(
             cfg.topo,

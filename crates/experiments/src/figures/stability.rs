@@ -97,6 +97,9 @@ pub struct StabilityConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub timing: Timing,
     pub protocols: Vec<ProtocolKind>,
@@ -110,6 +113,7 @@ impl StabilityConfig {
             topo: run.topo,
             group_size: 8,
             runs: run.runs,
+            threads: run.threads,
             base_seed: run.base_seed,
             timing: run.timing,
             protocols: run.protocols.clone(),
@@ -118,7 +122,7 @@ impl StabilityConfig {
 }
 
 pub fn evaluate(cfg: &StabilityConfig) -> Vec<StabilityPoint> {
-    let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+    let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
         let sc = build(
             cfg.topo,
             cfg.group_size,

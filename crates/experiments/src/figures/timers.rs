@@ -69,6 +69,9 @@ pub struct TimersConfig {
     pub topo: TopologyKind,
     pub group_size: usize,
     pub runs: usize,
+    /// Worker threads for the run fan-out (`None`: one per available
+    /// core); see [`crate::parallel::map_runs`].
+    pub threads: Option<usize>,
     pub base_seed: u64,
     pub scales: Vec<f64>,
     pub protocols: Vec<ProtocolKind>,
@@ -80,6 +83,7 @@ impl TimersConfig {
             topo: TopologyKind::Isp,
             group_size: 8,
             runs,
+            threads: None,
             base_seed: 1,
             scales: vec![1.0, 2.0, 4.0],
             protocols: vec![ProtocolKind::Reunite, ProtocolKind::Hbh],
@@ -100,7 +104,7 @@ pub fn evaluate(cfg: &TimersConfig) -> Vec<(f64, Vec<TimersPoint>)> {
         .iter()
         .map(|&scale| {
             let timing = scaled_timing(scale);
-            let per_run = crate::parallel::map_runs(cfg.runs, |run| {
+            let per_run = crate::parallel::map_runs(cfg.threads, cfg.runs, |run| {
                 let sc = build(
                     cfg.topo,
                     cfg.group_size,

@@ -47,8 +47,8 @@ pub struct RunConfig {
     /// Override the derived [`probe_window`] (time units), for studies
     /// probing under conditions the derivation does not model.
     pub probe_window: Option<u64>,
-    /// Pin the `parallel::map_runs` worker count (applied via the
-    /// `HBH_THREADS` environment variable).
+    /// Pin the `parallel::map_runs` worker count (`None`: one worker per
+    /// available core). Figure configs carry it down to the fan-out.
     pub threads: Option<usize>,
 }
 
@@ -80,9 +80,9 @@ impl RunConfig {
     }
 
     /// Reads the standard keys from parsed argv (`--topo --runs --seed
-    /// --threads`), with `default_runs` as the `--runs` fallback. A
-    /// `--threads` value is applied immediately (sets `HBH_THREADS`, which
-    /// `parallel::map_runs` reads).
+    /// --threads`), with `default_runs` as the `--runs` fallback. Without
+    /// `--threads`, the `HBH_THREADS` environment variable pins the worker
+    /// count ([`crate::parallel::threads_from_env`]).
     pub fn from_args(args: &Args, default_runs: usize) -> Self {
         let cfg = RunConfig::new()
             .topo(
@@ -91,12 +91,11 @@ impl RunConfig {
             )
             .runs(args.get_parse("runs", default_runs))
             .seed(args.get_parse("seed", 1));
-        let cfg = match args.get("threads") {
-            Some(v) => cfg.threads(v.parse().expect("--threads must be a positive integer")),
-            None => cfg,
+        let threads = match args.get("threads") {
+            Some(v) => Some(v.parse().expect("--threads must be a positive integer")),
+            None => crate::parallel::threads_from_env(),
         };
-        cfg.apply_threads();
-        cfg
+        RunConfig { threads, ..cfg }
     }
 
     /// Sets the topology family.
@@ -151,14 +150,6 @@ impl RunConfig {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    /// Exports a pinned thread count to `HBH_THREADS` so
-    /// `parallel::map_runs` picks it up. No-op when `threads` is unset.
-    pub fn apply_threads(&self) {
-        if let Some(n) = self.threads {
-            std::env::set_var("HBH_THREADS", n.to_string());
-        }
     }
 
     /// The probe window to use over `net`: the override if set, else the

@@ -96,7 +96,14 @@ pub fn shortest_paths(g: &Graph, root: NodeId) -> ShortestPaths {
 /// `first[v] = first[u]` (or `v` itself when `u` is the root) holds for
 /// the eventual shortest path too.
 pub(crate) fn shortest_paths_csr_into(csr: &Csr, root: NodeId, s: &mut DijkstraScratch) {
-    shortest_paths_core(csr, root, s, |_| true, |_| true);
+    shortest_paths_core(
+        csr,
+        root,
+        s,
+        csr.node_count(),
+        |n| Some(n.index()),
+        |_| true,
+    );
 }
 
 /// [`shortest_paths_csr_into`] over the *surviving* topology: nodes
@@ -116,7 +123,8 @@ pub(crate) fn shortest_paths_avoiding_csr_into(
         csr,
         root,
         s,
-        |n: NodeId| !node_down[n.index()],
+        csr.node_count(),
+        |n: NodeId| (!node_down[n.index()]).then_some(n.index()),
         |e: EdgeId| !edge_down[e.index()],
     );
 }
@@ -124,26 +132,34 @@ pub(crate) fn shortest_paths_avoiding_csr_into(
 /// The search itself, generic over the availability filters so the
 /// unfiltered hot path monomorphizes to the historical loop with no mask
 /// reads. Edges are relaxed as a parallel-slice walk over the CSR arrays.
-fn shortest_paths_core(
+///
+/// `slot(v)` is where `v`'s result lives in the `slots`-long scratch
+/// arrays, or `None` if `v` takes no part in the search (failed, or left
+/// out like the stubs of [`crate::provider::OnDemandRoutes`]). Slots must
+/// be distinct for distinct nodes; the heap and the tie-break still order
+/// by [`NodeId`], so the slot layout cannot change a route.
+pub(crate) fn shortest_paths_core(
     csr: &Csr,
     root: NodeId,
     s: &mut DijkstraScratch,
-    node_up: impl Fn(NodeId) -> bool,
+    slots: usize,
+    slot: impl Fn(NodeId) -> Option<usize>,
     edge_up: impl Fn(EdgeId) -> bool,
 ) {
-    s.reset(csr.node_count());
-    if !node_up(root) {
+    s.reset(slots);
+    let Some(r) = slot(root) else {
         return; // a failed root reaches nothing (its own dist stays MAX)
-    }
+    };
 
-    s.dist[root.index()] = 0;
+    s.dist[r] = 0;
     s.heap.push(Reverse((0, root)));
 
     while let Some(Reverse((d, u))) = s.heap.pop() {
-        if s.done[u.index()] {
+        let ui = slot(u).expect("only searched nodes enter the heap");
+        if s.done[ui] {
             continue;
         }
-        s.done[u.index()] = true;
+        s.done[ui] = true;
         // Hosts sink traffic; only the search root may emit from one.
         if u != root && csr.is_host(u) {
             continue;
@@ -151,20 +167,16 @@ fn shortest_paths_core(
         let (to, cost, eid) = csr.out_slices(u);
         for i in 0..to.len() {
             let v = NodeId(to[i]);
-            if !edge_up(EdgeId(eid[i])) || !node_up(v) {
+            if !edge_up(EdgeId(eid[i])) {
                 continue;
             }
+            let Some(vi) = slot(v) else { continue };
             let nd = d + PathCost::from(cost[i]);
-            let better = nd < s.dist[v.index()]
-                || (nd == s.dist[v.index()] && tie_break(s.pred[v.index()], u));
-            if better && !s.done[v.index()] {
-                s.dist[v.index()] = nd;
-                s.pred[v.index()] = Some(u);
-                s.first[v.index()] = if u == root {
-                    Some(v)
-                } else {
-                    s.first[u.index()]
-                };
+            let better = nd < s.dist[vi] || (nd == s.dist[vi] && tie_break(s.pred[vi], u));
+            if better && !s.done[vi] {
+                s.dist[vi] = nd;
+                s.pred[vi] = Some(u);
+                s.first[vi] = if u == root { Some(v) } else { s.first[ui] };
                 s.heap.push(Reverse((nd, v)));
             }
         }

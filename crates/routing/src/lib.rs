@@ -32,6 +32,7 @@ pub mod paths;
 pub mod provider;
 pub mod qos;
 pub mod reference;
+mod stubs;
 pub mod tables;
 
 #[cfg(test)]

@@ -4,18 +4,97 @@
 use crate::provider::{OnDemandRoutes, RouteProvider};
 use crate::reference::floyd_warshall;
 use crate::tables::RoutingTables;
-use hbh_topo::graph::{Graph, PathCost};
-use hbh_topo::{costs, random};
+use hbh_topo::graph::{Graph, NodeId, PathCost};
+use hbh_topo::hier::{self, TierSpec};
+use hbh_topo::{costs, random, scenarios, Csr};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
+/// A connected random router graph with single-homed hosts: the one host
+/// per router that `gnp_with_avg_degree` attaches, plus up to `n` more on
+/// random routers, so some access routers carry several stubs. Every
+/// link, access links included, gets independent per-direction costs.
 fn arb_graph(seed: u64, n: usize, degree_scale: u8) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let degree = 2.0 + f64::from(degree_scale % 4);
     let mut g = random::gnp_with_avg_degree(n, degree.min((n - 1) as f64), &mut rng);
+    let routers: Vec<NodeId> = g.routers().collect();
+    for _ in 0..rng.random_range(0..=n) {
+        g.add_host(routers[rng.random_range(0..routers.len())], 1, 1);
+    }
     costs::assign_paper_costs(&mut g, &mut rng);
     g
+}
+
+/// Fault masks with three victims: a host, the access router of a second
+/// host, and one direction of a third host's access link.
+fn stub_victims(g: &Graph, seed: u64) -> (Vec<bool>, Vec<bool>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5757);
+    let hosts: Vec<NodeId> = g.hosts().collect();
+    let mut pick = || hosts[rng.random_range(0..hosts.len())];
+    let (h, h2, h3) = (pick(), pick(), pick());
+    let mut node_down = vec![false; g.node_count()];
+    let mut edge_down = vec![false; g.directed_edge_count()];
+    node_down[h.index()] = true;
+    node_down[g.neighbors(h2)[0].to.index()] = true;
+    let a = g.neighbors(h3)[0].to;
+    let (from, to) = if seed % 2 == 0 { (h3, a) } else { (a, h3) };
+    edge_down[g.edge_entry(from, to).unwrap().0.index()] = true;
+    (node_down, edge_down)
+}
+
+/// Every `(dist, next_hop)` answer of `lazy` equals `eager`'s.
+fn assert_same_routes(g: &Graph, eager: &RoutingTables, lazy: &OnDemandRoutes) {
+    for u in g.nodes() {
+        for v in g.nodes() {
+            assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {u}->{v}");
+            assert_eq!(
+                eager.next_hop(u, v),
+                RouteProvider::next_hop(lazy, u, v),
+                "hop {u}->{v}"
+            );
+        }
+    }
+}
+
+/// Random masks failing each node and each directed edge with
+/// probability `p`.
+fn random_masks(g: &Graph, p: f64, rng: &mut StdRng) -> (Vec<bool>, Vec<bool>) {
+    let node_down = (0..g.node_count()).map(|_| rng.random_bool(p)).collect();
+    let edge_down = (0..g.directed_edge_count())
+        .map(|_| rng.random_bool(p))
+        .collect();
+    (node_down, edge_down)
+}
+
+/// The masked on-demand provider answers every pair exactly like the
+/// masked eager tables, on the hierarchy the scale sweeps use (hosts on
+/// the access tier) and on the paper's walk-through scenarios (whose
+/// Figure 2 receivers are dual-homed core hosts).
+#[test]
+fn on_demand_equals_eager_on_hierarchies_and_scenarios_under_random_masks() {
+    let spec = TierSpec {
+        ases: 3,
+        pops_per_as: 2,
+        access_per_pop: 2,
+    };
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut topo = hier::hierarchical(&spec, &mut rng);
+        hier::attach_hosts(&mut topo, 20, &mut rng);
+        let mut g = topo.graph;
+        costs::assign_paper_costs(&mut g, &mut rng);
+        let graphs = [g, scenarios::fig1(), scenarios::fig2(), scenarios::fig3()];
+        for g in &graphs {
+            let (node_down, edge_down) = random_masks(g, 0.1, &mut rng);
+            let eager = RoutingTables::compute_avoiding(g, &node_down, &edge_down);
+            let csr = Arc::new(Csr::from_graph(g));
+            let lazy = OnDemandRoutes::with_masks(csr, node_down, edge_down, 4);
+            assert_same_routes(g, &eager, &lazy);
+        }
+    }
 }
 
 proptest! {
@@ -116,18 +195,16 @@ proptest! {
         }
     }
 
-    /// Same equivalence over the surviving topology when one router is
-    /// avoided, exercising the masked SPF path of both providers.
+    /// Same equivalence over the surviving topology with a failed host, a
+    /// failed access router and one failed access half-link, exercising the
+    /// masked SPF path of both providers and the stub resolution.
     #[test]
     fn on_demand_equals_eager_avoiding_a_node(seed in 0u64..100_000, n in 5usize..16, d in 0u8..8) {
         let g = arb_graph(seed, n, d);
-        let victim = g.routers().nth((seed as usize) % 3).unwrap();
-        let mut node_down = vec![false; g.node_count()];
-        node_down[victim.index()] = true;
-        let edge_down = vec![false; g.directed_edge_count()];
+        let (node_down, edge_down) = stub_victims(&g, seed);
         let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
         let lazy = OnDemandRoutes::with_masks(
-            std::sync::Arc::new(hbh_topo::Csr::from_graph(&g)),
+            Arc::new(Csr::from_graph(&g)),
             node_down,
             edge_down,
             3.max(n / 4),
@@ -146,29 +223,39 @@ proptest! {
 
     /// Fault transitions through `rerouted` (selective invalidation +
     /// cached survivors) still answer exactly like a fresh masked
-    /// computation.
+    /// computation: first the stub victims plus a router fail, then the
+    /// failed host and access half-link come back, then everything does.
     #[test]
     fn rerouted_provider_stays_exact(seed in 0u64..100_000, n in 5usize..14, d in 0u8..8) {
         let g = arb_graph(seed, n, d);
         let lazy = OnDemandRoutes::new(&g, n);
-        // Warm a few rows, then fail a router and compare post-fault.
-        for u in g.nodes().take(n / 2) {
-            lazy.dist(u, g.nodes().last().unwrap());
+        // Warm a few rows, from routers and hosts alike.
+        let last = g.nodes().last().unwrap();
+        for u in g.nodes().step_by(2) {
+            lazy.dist(u, last);
         }
-        let victim = g.routers().nth((seed as usize) % 3).unwrap();
-        let mut node_down = vec![false; g.node_count()];
-        node_down[victim.index()] = true;
-        let edge_down = vec![false; g.directed_edge_count()];
-        let after = lazy.rerouted(node_down.clone(), edge_down.clone());
-        let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                prop_assert_eq!(fresh.dist(u, v), after.dist(u, v), "dist {}->{}", u, v);
-                prop_assert_eq!(
-                    fresh.next_hop(u, v),
-                    RouteProvider::next_hop(&after, u, v),
-                    "hop {}->{}", u, v
-                );
+        let (stub_nodes, stub_edges) = stub_victims(&g, seed);
+        let mut node_down = stub_nodes.clone();
+        node_down[g.routers().nth((seed as usize) % 3).unwrap().index()] = true;
+        let host_healed: Vec<bool> = g.nodes().map(|v| node_down[v.index()] && g.is_router(v)).collect();
+        let none = vec![false; g.node_count()];
+        let mut provider = lazy;
+        for (node_down, edge_down) in [
+            (node_down.clone(), stub_edges.clone()),
+            (host_healed, vec![false; stub_edges.len()]),
+            (none, vec![false; stub_edges.len()]),
+        ] {
+            provider = provider.rerouted(node_down.clone(), edge_down.clone());
+            let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    prop_assert_eq!(fresh.dist(u, v), provider.dist(u, v), "dist {}->{}", u, v);
+                    prop_assert_eq!(
+                        fresh.next_hop(u, v),
+                        RouteProvider::next_hop(&provider, u, v),
+                        "hop {}->{}", u, v
+                    );
+                }
             }
         }
     }

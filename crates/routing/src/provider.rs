@@ -14,21 +14,44 @@
 //! n≤50 figures), and [`OnDemandRoutes`] implements it lazily: one forward
 //! SPF row per *forwarding node actually consulted*, in an LRU with
 //! deterministic eviction. Both run the same CSR Dijkstra with the same
-//! tie-breaks, so on any (at, dst) pair they agree exactly — a property
-//! test pins this, with and without failed elements.
+//! tie-breaks, so on any (at, dst) pair they agree exactly — property
+//! tests pin this, with and without failed elements.
 //!
-//! On a fault event [`OnDemandRoutes::rerouted`] derives the
-//! post-failure provider. New failures invalidate only the cached rows
-//! whose SPF tree actually touches a newly failed element (removing an
-//! element can never improve an untouched tree, and tie-break winners stay
-//! winners when a losing candidate disappears); any *restoration* flushes
-//! the cache, since a returning element may improve arbitrary rows.
+//! # Rows span the core
+//!
+//! A *stub* is a host with exactly one link, and that link goes to a
+//! router (its *access router*); every other node — routers, dual-homed
+//! hosts like Figure 2's `r1`, hosts wired to hosts — is the *core*. Rows
+//! are computed and stored over the core only. Hosts never transit, so a
+//! stub is only ever the first or last hop of a path and is answered
+//! through its access link `h — a`:
+//!
+//! * `dist(h→x) = cost(h→a) + dist(a→x)`, and `next_hop(h, x) = a`;
+//! * `dist(r→h) = dist(r→a) + cost(a→h)`, and `next_hop(r, h)` is the
+//!   first hop toward `a` in `r`'s row, or `h` itself when `r == a`.
+//!
+//! Core indices ascend with node ids, so every distance, next hop and
+//! tie-break is the one the full-node search would give. On the scale
+//! hierarchies, where single-homed hosts outnumber routers 20 to 1, this
+//! is what keeps a row small and an SPF cheap.
+//!
+//! # Faults
+//!
+//! On a fault event [`OnDemandRoutes::rerouted`] derives the post-failure
+//! provider. A failed or restored stub, or either access half-link,
+//! touches no row: lookups check those masks on the way in and out. New
+//! core failures invalidate only the cached rows whose SPF tree actually
+//! touches a newly failed element (removing an element can never improve
+//! an untouched tree, and tie-break winners stay winners when a losing
+//! candidate disappears); any *restoration* of a core element flushes the
+//! cache, since a returning element may improve arbitrary rows.
 
-use crate::dijkstra::{shortest_paths_avoiding_csr_into, DijkstraScratch};
+use crate::dijkstra::{shortest_paths_core, DijkstraScratch};
+use crate::stubs::StubMap;
 use hbh_topo::csr::Csr;
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Unicast route lookups, independent of how routes are materialized.
 ///
@@ -73,7 +96,9 @@ pub trait RouteProvider {
 /// Counters describing how a provider materialized its answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// SPF rows computed (eager: one per node, up front).
+    /// SPF rows computed (eager: one per node, up front; on demand: one
+    /// per core source consulted, since a stub reads its access router's
+    /// row).
     pub computed: u64,
     /// Lookups answered from a cached row.
     pub hits: u64,
@@ -134,16 +159,18 @@ impl RouteProvider for crate::RoutingTables {
     }
 }
 
-/// One memoized forward-SPF row: everything node `src` needs to answer
-/// `next_hop(src, *)` / `dist(src, *)`, plus the predecessor tree used for
-/// selective fault invalidation.
+/// One memoized forward-SPF row over the core: everything core node `src`
+/// needs to answer `next_hop(src, *)` / `dist(src, *)`, plus the
+/// predecessor tree used for selective fault invalidation. Indexed by
+/// core index, not node id.
 struct Row {
-    /// `dist[v]` from the row's source (`u64::MAX` = unreachable).
+    /// `dist[c]` from the row's source (`u64::MAX` = unreachable).
     dist: Box<[PathCost]>,
-    /// First hop toward `v` (`u32::MAX` = none).
+    /// First hop (a node id) toward core node `c` (`u32::MAX` = none).
     next: Box<[u32]>,
-    /// SPF-tree predecessor of `v` (`u32::MAX` = none); consulted when a
-    /// fault event asks "does this tree cross the failed edge?".
+    /// SPF-tree predecessor (a node id) of core node `c` (`u32::MAX` =
+    /// none); consulted when a fault event asks "does this tree cross the
+    /// failed edge?".
     pred: Box<[u32]>,
     /// LRU tick of the last lookup through this row.
     last_used: u64,
@@ -152,8 +179,8 @@ struct Row {
 const NONE: u32 = u32::MAX;
 
 impl Row {
-    fn bytes(n: usize) -> usize {
-        n * (size_of::<PathCost>() + 2 * size_of::<u32>())
+    fn bytes(core: usize) -> usize {
+        core * (size_of::<PathCost>() + 2 * size_of::<u32>())
     }
 }
 
@@ -173,6 +200,9 @@ struct RowCache {
 /// array reads. Memory therefore scales with the number of *forwarding
 /// nodes actually consulted* (routers on active trees), not with n².
 ///
+/// * **Core rows** — rows run and store over the core only; a stub (a
+///   single-homed host) is answered through its access router's row plus
+///   the access half-link (see the module docs).
 /// * **Capacity / eviction** — at most `capacity` rows stay resident; the
 ///   victim is the row with the smallest `(last_used, source)` pair, so
 ///   eviction (and everything downstream of it) is deterministic for a
@@ -186,6 +216,9 @@ struct RowCache {
 ///   one warm cache.
 pub struct OnDemandRoutes {
     csr: Arc<Csr>,
+    /// The core/stub split of `csr`, built on the first lookup and shared
+    /// by every provider [`OnDemandRoutes::rerouted`] derives.
+    stubs: Arc<OnceLock<StubMap>>,
     node_down: Vec<bool>,
     edge_down: Vec<bool>,
     capacity: usize,
@@ -227,6 +260,7 @@ impl OnDemandRoutes {
         assert!(capacity > 0, "route cache needs room for at least one row");
         OnDemandRoutes {
             csr,
+            stubs: Arc::default(),
             node_down,
             edge_down,
             capacity,
@@ -245,72 +279,71 @@ impl OnDemandRoutes {
         &self.csr
     }
 
+    fn stubs(&self) -> &StubMap {
+        self.stubs.get_or_init(|| StubMap::build(&self.csr))
+    }
+
     /// Derives the provider for the next fault epoch, reusing the CSR and
     /// every cached row the change provably leaves exact.
     ///
-    /// A row (the forward SPF tree of one source) survives iff no *newly*
-    /// failed node is reachable in it and no newly failed directed edge is
-    /// one of its tree edges: removing elements the tree never touches
+    /// Only core elements matter: a stub or its access half-links
+    /// (failed or restored) never transit, so they touch no row. A row
+    /// (the forward SPF tree of one core source) survives iff no *newly*
+    /// failed core node is reachable in it and no newly failed core edge
+    /// is one of its tree edges: removing elements the tree never touches
     /// cannot shorten any path, and a tie-break winner stays the winner
-    /// when only losing candidates disappear. Any *restoration* (a mask
-    /// bit going `true → false`) flushes the whole cache instead — a
-    /// returning link may improve arbitrary rows. Cumulative stats carry
-    /// over; the generation counter increments.
+    /// when only losing candidates disappear. Any *restoration* of a core
+    /// element (a mask bit going `true → false`) flushes the whole cache
+    /// instead — a returning link may improve arbitrary rows. Cumulative
+    /// stats carry over; the generation counter increments.
     pub fn rerouted(&self, node_down: Vec<bool>, edge_down: Vec<bool>) -> Self {
         assert_eq!(node_down.len(), self.node_down.len(), "node mask length");
         assert_eq!(edge_down.len(), self.edge_down.len(), "edge mask length");
         let mut old = self.cache.lock().unwrap();
-
-        let restored = self
-            .node_down
-            .iter()
-            .zip(&node_down)
-            .any(|(&was, &is)| was && !is)
-            || self
-                .edge_down
-                .iter()
-                .zip(&edge_down)
-                .any(|(&was, &is)| was && !is);
-
-        let mut rows = HashMap::new();
         let mut stats = old.stats;
-        if restored {
-            stats.invalidated += old.rows.len() as u64;
-        } else {
-            let new_nodes: Vec<NodeId> = node_down
-                .iter()
-                .zip(&self.node_down)
-                .enumerate()
-                .filter(|(_, (&is, &was))| is && !was)
-                .map(|(i, _)| NodeId(i as u32))
-                .collect();
-            let new_edges: Vec<(u32, u32)> = edge_down
-                .iter()
-                .zip(&self.edge_down)
-                .enumerate()
-                .filter(|(_, (&is, &was))| is && !was)
-                .map(|(i, _)| {
-                    let l = self.csr.edge_ends(hbh_topo::EdgeId(i as u32));
-                    (l.from.0, l.to.0)
-                })
-                .collect();
-            rows = std::mem::take(&mut old.rows);
-            rows.retain(|_, row| {
-                let touches_node = new_nodes
-                    .iter()
-                    .any(|v| row.dist[v.index()] != PathCost::MAX);
-                let touches_edge = new_edges.iter().any(|&(f, t)| row.pred[t as usize] == f);
-                let keep = !touches_node && !touches_edge;
-                if !keep {
-                    stats.invalidated += 1;
-                }
-                keep
-            });
+        let mut rows = std::mem::take(&mut old.rows);
+
+        if !rows.is_empty() {
+            let stubs = self.stubs();
+            let core_node = |v: usize| stubs.core_index(NodeId(v as u32));
+            // A core edge as (source node id, target core index).
+            let core_edge = |e: usize| {
+                let l = self.csr.edge_ends(hbh_topo::EdgeId(e as u32));
+                stubs.core_index(l.from)?;
+                Some((l.from.0, stubs.core_index(l.to)?))
+            };
+            let (n, m) = (node_down.len(), edge_down.len());
+            let restored = (0..n)
+                .any(|v| self.node_down[v] && !node_down[v] && core_node(v).is_some())
+                || (0..m).any(|e| self.edge_down[e] && !edge_down[e] && core_edge(e).is_some());
+            if restored {
+                stats.invalidated += rows.len() as u64;
+                rows.clear();
+            } else {
+                let new_nodes: Vec<usize> = (0..n)
+                    .filter(|&v| node_down[v] && !self.node_down[v])
+                    .filter_map(core_node)
+                    .collect();
+                let new_edges: Vec<(u32, usize)> = (0..m)
+                    .filter(|&e| edge_down[e] && !self.edge_down[e])
+                    .filter_map(core_edge)
+                    .collect();
+                rows.retain(|_, row| {
+                    let touches_node = new_nodes.iter().any(|&c| row.dist[c] != PathCost::MAX);
+                    let touches_edge = new_edges.iter().any(|&(f, t)| row.pred[t] == f);
+                    let keep = !touches_node && !touches_edge;
+                    if !keep {
+                        stats.invalidated += 1;
+                    }
+                    keep
+                });
+            }
         }
         stats.cached_rows = rows.len();
 
         OnDemandRoutes {
             csr: Arc::clone(&self.csr),
+            stubs: Arc::clone(&self.stubs),
             node_down,
             edge_down,
             capacity: self.capacity,
@@ -324,7 +357,8 @@ impl OnDemandRoutes {
         }
     }
 
-    /// Sources with a resident row, ascending (test introspection).
+    /// Sources with a resident row, ascending (test introspection). Only
+    /// core nodes have rows.
     pub fn cached_sources(&self) -> Vec<NodeId> {
         let c = self.cache.lock().unwrap();
         let mut v: Vec<u32> = c.rows.keys().copied().collect();
@@ -332,7 +366,8 @@ impl OnDemandRoutes {
         v.into_iter().map(NodeId).collect()
     }
 
-    /// Runs `f` over the (possibly just materialized) row of `src`.
+    /// Runs `f` over the (possibly just materialized) row of core node
+    /// `src`.
     fn with_row<R>(&self, src: NodeId, f: impl FnOnce(&Row) -> R) -> R {
         let c = &mut *self.cache.lock().unwrap();
         c.tick += 1;
@@ -345,12 +380,14 @@ impl OnDemandRoutes {
         c.stats.misses += 1;
         c.stats.computed += 1;
 
-        shortest_paths_avoiding_csr_into(
+        let stubs = self.stubs();
+        shortest_paths_core(
             &self.csr,
             src,
             &mut c.scratch,
-            &self.node_down,
-            &self.edge_down,
+            stubs.core_count(),
+            |v| stubs.core_index(v).filter(|_| !self.node_down[v.index()]),
+            |e| !self.edge_down[e.index()],
         );
         let pack = |xs: &[Option<NodeId>]| -> Box<[u32]> {
             xs.iter().map(|x| x.map_or(NONE, |n| n.0)).collect()
@@ -377,6 +414,43 @@ impl OnDemandRoutes {
         c.stats.cached_rows = c.rows.len();
         r
     }
+
+    /// The shortest `from → to` route as `(cost, first hop)`, `None` if
+    /// unreachable. Stub ends are peeled off to their access router and
+    /// the rest is read from the core row of the source side.
+    fn route(&self, from: NodeId, to: NodeId) -> Option<(PathCost, Option<NodeId>)> {
+        let down = |v: NodeId| self.node_down[v.index()];
+        if from == to {
+            return (!down(from)).then_some((0, None));
+        }
+        let stubs = self.stubs();
+        // Source side: a stub leaves through its access router.
+        let (src, up_cost) = match stubs.access(&self.csr, from) {
+            Some(a) if down(from) || self.edge_down[a.up.index()] => return None,
+            Some(a) => (a.router, PathCost::from(a.up_cost)),
+            None => (from, 0),
+        };
+        // Destination side: a stub is reached through its access router.
+        let (dst_core, down_cost, dst_access) = match stubs.access(&self.csr, to) {
+            Some(a) if down(to) || self.edge_down[a.down.index()] => return None,
+            Some(a) => (a.core as usize, PathCost::from(a.down_cost), Some(a.router)),
+            None => (stubs.core_index(to).expect("core node"), 0, None),
+        };
+        self.with_row(src, |row| {
+            let d = row.dist[dst_core];
+            if d == PathCost::MAX {
+                return None;
+            }
+            let hop = if src != from {
+                src // a stub's first hop is its access router
+            } else if dst_access == Some(src) {
+                to // the access router hands over to its stub
+            } else {
+                NodeId(row.next[dst_core])
+            };
+            Some((up_cost + d + down_cost, Some(hop)))
+        })
+    }
 }
 
 impl RouteProvider for OnDemandRoutes {
@@ -385,17 +459,11 @@ impl RouteProvider for OnDemandRoutes {
     }
 
     fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.with_row(at, |row| match row.next[dst.index()] {
-            NONE => None,
-            n => Some(NodeId(n)),
-        })
+        self.route(at, dst)?.1
     }
 
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        self.with_row(from, |row| match row.dist[to.index()] {
-            PathCost::MAX => None,
-            d => Some(d),
-        })
+        Some(self.route(from, to)?.0)
     }
 
     fn route_stats(&self) -> RouteStats {
@@ -409,9 +477,11 @@ impl RouteProvider for OnDemandRoutes {
 
     fn state_bytes(&self) -> usize {
         let c = self.cache.lock().unwrap();
-        c.rows.len() * Row::bytes(self.csr.node_count())
-            + self.node_down.len()
-            + self.edge_down.len()
+        let (core, map) = self
+            .stubs
+            .get()
+            .map_or((0, 0), |s| (s.core_count(), s.bytes()));
+        c.rows.len() * Row::bytes(core) + map + self.node_down.len() + self.edge_down.len()
     }
 }
 
@@ -548,8 +618,8 @@ mod tests {
         let next = lazy.rerouted(node_down.clone(), vec![false; g.directed_edge_count()]);
         assert_eq!(next.route_stats().generation, 1);
         // The ISP backbone is connected: every router's SPF reaches the
-        // victim, so every router row must have been invalidated. Host
-        // rows reach it too — cache must be empty.
+        // victim, so every row must have been invalidated. (Hosts are
+        // stubs and own no rows.)
         assert_eq!(next.cached_sources(), vec![]);
         // Surviving answers equal a fresh masked computation.
         let fresh = RoutingTables::compute_avoiding(
@@ -618,6 +688,97 @@ mod tests {
             "capacity 3 must have evicted under 200 lookups"
         );
         assert_eq!(s.cached_rows, 3);
+    }
+
+    /// The ISP map (one single-homed host per router) with every router
+    /// row cached.
+    fn warm_isp(seed: u64) -> (Graph, OnDemandRoutes) {
+        let g = isp(seed);
+        let lazy = OnDemandRoutes::new(&g, 64);
+        let far = g.hosts().last().unwrap();
+        for r in g.routers() {
+            lazy.dist(r, far);
+        }
+        (g, lazy)
+    }
+
+    #[test]
+    fn stub_failures_keep_every_router_row() {
+        let (g, warm) = warm_isp(10);
+        let rows = warm.cached_sources();
+        assert_eq!(rows, g.routers().collect::<Vec<_>>(), "one row per router");
+        let host = g.hosts().nth(4).unwrap();
+        let access = g.neighbors(host)[0].to;
+        let (up, _) = g.edge_entry(host, access).unwrap();
+        let (down, _) = g.edge_entry(access, host).unwrap();
+        let m = g.directed_edge_count();
+        let mut host_down = vec![false; g.node_count()];
+        host_down[host.index()] = true;
+        for (node_down, failed_edge) in [
+            (host_down, None),
+            (vec![false; g.node_count()], Some(up)),
+            (vec![false; g.node_count()], Some(down)),
+        ] {
+            let mut edge_down = vec![false; m];
+            if let Some(e) = failed_edge {
+                edge_down[e.index()] = true;
+            }
+            // `rerouted` moves the rows out, so warm a fresh provider.
+            let (_, lazy) = warm_isp(10);
+            let next = lazy.rerouted(node_down.clone(), edge_down.clone());
+            assert_eq!(next.route_stats().invalidated, 0);
+            assert_eq!(next.cached_sources(), rows, "router rows survive");
+            let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(RouteProvider::dist(&fresh, u, v), next.dist(u, v));
+                    assert_eq!(
+                        RouteProvider::next_hop(&fresh, u, v),
+                        next.next_hop(u, v),
+                        "hop {u}->{v}"
+                    );
+                }
+            }
+            // Healing the stub again touches no row either.
+            let healed = next.rerouted(vec![false; g.node_count()], vec![false; m]);
+            assert_eq!(healed.cached_sources(), rows);
+            assert_eq!(healed.route_stats().invalidated, 0);
+        }
+    }
+
+    #[test]
+    fn failed_stub_answers_none_even_to_itself() {
+        let g = isp(11);
+        let host = g.hosts().nth(2).unwrap();
+        let mut node_down = vec![false; g.node_count()];
+        node_down[host.index()] = true;
+        let csr = Arc::new(Csr::from_graph(&g));
+        let m = g.directed_edge_count();
+        let lazy = OnDemandRoutes::with_masks(csr, node_down, vec![false; m], 8);
+        assert_eq!(lazy.dist(host, host), None);
+        let router = g.routers().next().unwrap();
+        assert_eq!(
+            (lazy.dist(host, router), lazy.dist(router, host)),
+            (None, None)
+        );
+        assert_eq!(lazy.next_hop(router, host), None);
+    }
+
+    #[test]
+    fn row_bytes_scale_with_the_core_not_the_node_count() {
+        let (g, lazy) = warm_isp(12);
+        let routers = g.routers().count();
+        assert!(g.node_count() >= 2 * routers, "half the nodes are stubs");
+        let rows = lazy.cached_sources().len();
+        let masks = g.node_count() + g.directed_edge_count();
+        let map = 8 * g.node_count();
+        assert_eq!(
+            lazy.state_bytes(),
+            rows * Row::bytes(routers) + map + masks,
+            "rows span the {routers} routers, not all {} nodes",
+            g.node_count()
+        );
+        assert_eq!(Row::bytes(routers), routers * 16);
     }
 
     #[test]
