@@ -24,7 +24,7 @@ use hbh_pim::Pim;
 use hbh_proto::Hbh;
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_reunite::Reunite;
-use hbh_routing::qos;
+use hbh_routing::{qos, RoutingTables};
 use hbh_sim_core::{Kernel, Network, Protocol, Time};
 use hbh_topo::costs;
 use hbh_topo::graph::Bandwidth;
@@ -71,11 +71,12 @@ impl QosConfig {
 fn admitted_network(sc: &Scenario, min_bw: Bandwidth, seed: u64) -> Option<Network> {
     let mut graph = sc.graph().clone();
     costs::assign_backbone_bandwidths(&mut graph, 1, 10, &mut StdRng::seed_from_u64(seed ^ 0xB0));
-    let tables = qos::constrained_tables(&graph, min_bw);
+    let shadow = qos::shadow_graph(&graph, min_bw);
+    let tables = RoutingTables::compute(&shadow);
     if !qos::channel_admitted(&tables, sc.source, &sc.receivers) {
         return None;
     }
-    Some(Network::with_tables(graph, tables))
+    Some(Network::routed_over(graph, &shadow))
 }
 
 fn run_one<P: Protocol<Command = Cmd>>(

@@ -54,7 +54,7 @@ pub struct MembershipConfig {
     /// Flash-crowd sizes for the HBH-AGG storm sweep (ascending).
     pub storm_sizes: Vec<usize>,
     pub base_seed: u64,
-    /// LRU capacity of the on-demand route cache, in SPF rows.
+    /// Cap on resident SPF rows (see [`Network::on_demand`]).
     pub cache_rows: usize,
     pub timing: Timing,
     /// Protocol arms for the comparison workloads.

@@ -6,10 +6,10 @@
 //! pass; this module makes the *harness* honour the same principle. At 5k
 //! routers an eager all-pairs table would pin `n² ≈ 26M` entries per draw
 //! — hundreds of megabytes and minutes of Dijkstra before the first event
-//! fires. Scale scenarios therefore always run on
-//! [`Network::on_demand`]: SPF rows materialize only for the routers that
-//! actually forward (tree nodes), the LRU bounds residency, and the
-//! reported [`RouteStats`] make the O(n²) → O(used) claim a number.
+//! fires. Scale scenarios instead run on [`Network::on_demand`]: SPF rows
+//! materialize only for the routers that actually forward (tree nodes),
+//! `cache_rows` caps residency, and the reported [`RouteStats`] make the
+//! O(n²) → O(used) claim a number.
 //!
 //! The topology (and host attachment) is frozen per configuration; each
 //! run redraws per-direction link costs from the paper's `U[1, 10]`, picks
@@ -44,7 +44,7 @@ pub struct ScaleConfig {
     /// Independent paired runs (cost draw + membership per run).
     pub runs: usize,
     pub base_seed: u64,
-    /// LRU capacity of the on-demand route cache, in SPF rows.
+    /// Cap on resident SPF rows (see [`Network::on_demand`]).
     pub cache_rows: usize,
     pub timing: Timing,
     /// Protocol arms; all run on the same draw per run.
@@ -266,7 +266,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         route_stats.computed += s.computed;
         route_stats.hits += s.hits;
         route_stats.misses += s.misses;
-        route_stats.evicted += s.evicted;
         route_stats.invalidated += s.invalidated;
         route_stats.cached_rows = route_stats.cached_rows.max(s.cached_rows);
         route_bytes = route_bytes.max(sc.network().routes().state_bytes());
@@ -355,6 +354,17 @@ mod tests {
         let cfg = ScaleConfig::smoke();
         let template = build_scale_graph(&cfg);
         let sc = build_scale_scenario(&cfg, &template, 0);
-        assert!(sc.network().is_on_demand());
+        let routes = sc.network().routes();
+        assert_eq!(
+            routes.route_stats().cached_rows,
+            0,
+            "no row before a lookup"
+        );
+        routes.dist(sc.source, sc.receivers[0]);
+        assert_eq!(
+            routes.route_stats().cached_rows,
+            1,
+            "one row per consulted source"
+        );
     }
 }

@@ -165,11 +165,6 @@ pub struct ScenarioOptions {
     /// join timing; the default (20 periods) lets roughly the paper's
     /// dynamics emerge while keeping runs fast.
     pub join_window_periods: u64,
-    /// `Some(rows)`: serve unicast routes on demand with an LRU of at most
-    /// `rows` cached SPF rows ([`Network::on_demand`]) instead of eager
-    /// all-pairs tables. `None` (the default, and the paper figures'
-    /// setting) keeps the exact eager tables — byte-identical outputs.
-    pub route_cache: Option<usize>,
 }
 
 impl Default for ScenarioOptions {
@@ -178,7 +173,6 @@ impl Default for ScenarioOptions {
             asymmetry: 1.0,
             unicast_only_fraction: 0.0,
             join_window_periods: 20,
-            route_cache: None,
         }
     }
 }
@@ -190,12 +184,10 @@ impl Default for ScenarioOptions {
 const NETWORK_CACHE_CAP: usize = 32;
 
 /// Graph-shaping inputs: everything [`build`] feeds into the topology and
-/// cost draw, plus the routing materialization mode (an eager and an
-/// on-demand network over the same draw must not alias). Group size and
-/// timing shape only membership, which is drawn *after* the graph from the
-/// same stream, so two builds agreeing on this key produce identical
-/// graphs.
-type NetworkCacheKey = (u8, u64, u64, u64, u64);
+/// cost draw. Group size and timing shape only membership, which is drawn
+/// *after* the graph from the same stream, so two builds agreeing on this
+/// key produce identical graphs.
+type NetworkCacheKey = (u8, u64, u64, u64);
 
 thread_local! {
     /// Capacity-bounded FIFO of recently computed `Network`s, keyed by
@@ -208,7 +200,7 @@ thread_local! {
 
 /// Returns the shared `Network` for `graph`, reusing a cached instance if
 /// this thread already computed routing state for an identical draw.
-fn shared_network(key: NetworkCacheKey, graph: Graph, route_cache: Option<usize>) -> Network {
+fn shared_network(key: NetworkCacheKey, graph: Graph) -> Network {
     NETWORK_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         if let Some((_, net)) = cache.iter().find(|(k, _)| *k == key) {
@@ -219,10 +211,7 @@ fn shared_network(key: NetworkCacheKey, graph: Graph, route_cache: Option<usize>
             );
             return net.clone();
         }
-        let net = match route_cache {
-            None => Network::new(graph),
-            Some(rows) => Network::on_demand(graph, rows),
-        };
+        let net = Network::new(graph);
         if cache.len() == NETWORK_CACHE_CAP {
             cache.pop_front();
         }
@@ -291,10 +280,8 @@ pub fn build(
         run_seed,
         opts.asymmetry.to_bits(),
         opts.unicast_only_fraction.to_bits(),
-        // 0 = eager tables; rows+1 = on-demand with that capacity.
-        opts.route_cache.map_or(0, |rows| rows as u64 + 1),
     );
-    let network = shared_network(cache_key, graph, opts.route_cache);
+    let network = shared_network(cache_key, graph);
     Scenario {
         network,
         source,
@@ -482,36 +469,6 @@ mod tests {
         );
         let b = build(TopologyKind::Isp, 4, 78, &timing(), &asym);
         assert!(!std::ptr::eq(a.network().graph(), b.network().graph()));
-    }
-
-    #[test]
-    fn route_cache_option_switches_materialization_without_aliasing() {
-        let lazy_opts = ScenarioOptions {
-            route_cache: Some(64),
-            ..ScenarioOptions::default()
-        };
-        let eager = build(
-            TopologyKind::Isp,
-            4,
-            79,
-            &timing(),
-            &ScenarioOptions::default(),
-        );
-        let lazy = build(TopologyKind::Isp, 4, 79, &timing(), &lazy_opts);
-        assert!(!eager.network().is_on_demand());
-        assert!(lazy.network().is_on_demand());
-        assert!(
-            !std::ptr::eq(eager.network().graph(), lazy.network().graph()),
-            "materialization mode must be part of the cache key"
-        );
-        // Same draw, same routes — membership and answers agree.
-        assert_eq!(eager.receivers, lazy.receivers);
-        for &r in &eager.receivers {
-            assert_eq!(
-                eager.network().dist(eager.source, r),
-                lazy.network().dist(lazy.source, r)
-            );
-        }
     }
 
     #[test]

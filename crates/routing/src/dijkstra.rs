@@ -13,8 +13,8 @@
 //!
 //! The search itself runs over a [`Csr`] packing of the graph: per-node
 //! out-edges are contiguous `u32` slices instead of one heap allocation per
-//! node, which is what makes all-pairs and on-demand sweeps viable at
-//! thousands of routers. CSR packing preserves per-node edge order, so the
+//! node, which is what makes on-demand SPF rows cheap at thousands of
+//! routers. CSR packing preserves per-node edge order, so the
 //! tie-breaks — and therefore every route — are identical to a search over
 //! the raw adjacency.
 
@@ -39,18 +39,20 @@ pub struct ShortestPaths {
 
 const UNREACHABLE: PathCost = PathCost::MAX;
 
-/// Reusable working storage for repeated Dijkstra runs.
-///
-/// All-pairs table construction ([`crate::RoutingTables::compute`]) runs
-/// one search per node; threading one scratch through them replaces `4n`
-/// fresh allocations per search with buffer resets. Fault-reroute paths
-/// hold one of these across *calls* too (see
-/// [`crate::RoutingTables::compute_avoiding_with`]).
+/// "No edge" in [`DijkstraScratch::first`]: the root itself, or
+/// unreachable.
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
+/// Reusable working storage for repeated Dijkstra runs: all-pairs table
+/// construction and every on-demand SPF row reset these buffers instead
+/// of allocating `4n` fresh ones per search.
 #[derive(Default)]
-pub struct DijkstraScratch {
+pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<PathCost>,
     pub(crate) pred: Vec<Option<NodeId>>,
-    pub(crate) first: Vec<Option<NodeId>>,
+    /// The root's out-edge (an [`EdgeId`] index) that the shortest path
+    /// leaves through, or [`NO_EDGE`].
+    pub(crate) first: Vec<u32>,
     done: Vec<bool>,
     heap: BinaryHeap<Reverse<(PathCost, NodeId)>>,
 }
@@ -62,7 +64,7 @@ impl DijkstraScratch {
         self.pred.clear();
         self.pred.resize(n, None);
         self.first.clear();
-        self.first.resize(n, None);
+        self.first.resize(n, NO_EDGE);
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
@@ -71,73 +73,49 @@ impl DijkstraScratch {
 
 /// Runs Dijkstra from `root` over the directed costs of `g`.
 ///
-/// One-shot convenience: packs `g` into a throwaway [`Csr`] first. Sweeps
-/// that run many searches should pack once and use the `_csr` entry points
-/// (as [`crate::RoutingTables`] and `OnDemandRoutes` do).
+/// One-shot convenience: packs `g` into a throwaway [`Csr`] first.
 pub fn shortest_paths(g: &Graph, root: NodeId) -> ShortestPaths {
     let csr = Csr::from_graph(g);
     let mut s = DijkstraScratch::default();
-    shortest_paths_csr_into(&csr, root, &mut s);
+    shortest_paths_core(
+        &csr,
+        root,
+        &mut s,
+        csr.node_count(),
+        |v| Some(v.index()),
+        |_| true,
+    );
     ShortestPaths {
         root,
-        dist: std::mem::take(&mut s.dist),
-        pred: std::mem::take(&mut s.pred),
-        first: std::mem::take(&mut s.first),
+        first: s.first.iter().map(|&e| edge_target(&csr, e)).collect(),
+        dist: s.dist,
+        pred: s.pred,
     }
 }
 
-/// [`shortest_paths`] over a pre-packed CSR view, into caller-provided
-/// scratch storage. The results are left in `s.dist` / `s.pred` /
-/// `s.first`.
-///
-/// First hops are resolved inline during relaxation: when `v` is improved
-/// via `u`, `u` has already been finalized (its out-edges are only relaxed
-/// after it is popped as settled), so `first[u]` is final and
-/// `first[v] = first[u]` (or `v` itself when `u` is the root) holds for
-/// the eventual shortest path too.
-pub(crate) fn shortest_paths_csr_into(csr: &Csr, root: NodeId, s: &mut DijkstraScratch) {
-    shortest_paths_core(
-        csr,
-        root,
-        s,
-        csr.node_count(),
-        |n| Some(n.index()),
-        |_| true,
-    );
-}
-
-/// [`shortest_paths_csr_into`] over the *surviving* topology: nodes
-/// flagged in `node_down` and directed edges flagged in `edge_down` are
-/// excluded from the search (the failure-injection reroute path). Both
-/// masks are indexed densely by `NodeId`/`EdgeId`; tie-breaking is
-/// identical to the unfiltered search, so all-false masks reproduce it
-/// exactly.
-pub(crate) fn shortest_paths_avoiding_csr_into(
-    csr: &Csr,
-    root: NodeId,
-    s: &mut DijkstraScratch,
-    node_down: &[bool],
-    edge_down: &[bool],
-) {
-    shortest_paths_core(
-        csr,
-        root,
-        s,
-        csr.node_count(),
-        |n: NodeId| (!node_down[n.index()]).then_some(n.index()),
-        |e: EdgeId| !edge_down[e.index()],
-    );
+/// The node a first out-edge of [`DijkstraScratch::first`] leads to.
+#[inline]
+pub(crate) fn edge_target(csr: &Csr, e: u32) -> Option<NodeId> {
+    (e != NO_EDGE).then(|| csr.edge_ends(EdgeId(e)).to)
 }
 
 /// The search itself, generic over the availability filters so the
-/// unfiltered hot path monomorphizes to the historical loop with no mask
-/// reads. Edges are relaxed as a parallel-slice walk over the CSR arrays.
+/// unfiltered search monomorphizes to a loop with no mask reads. Edges are
+/// relaxed as a parallel-slice walk over the CSR arrays.
 ///
 /// `slot(v)` is where `v`'s result lives in the `slots`-long scratch
 /// arrays, or `None` if `v` takes no part in the search (failed, or left
 /// out like the stubs of [`crate::provider::OnDemandRoutes`]). Slots must
 /// be distinct for distinct nodes; the heap and the tie-break still order
 /// by [`NodeId`], so the slot layout cannot change a route.
+///
+/// First hops are resolved inline during relaxation: when `v` is improved
+/// via `u`, `u` has already been finalized (its out-edges are only relaxed
+/// after it is popped as settled), so `first[u]` is final and
+/// `first[v] = first[u]` (or the relaxed edge itself when `u` is the root)
+/// holds for the eventual shortest path too. A [`Graph`] holds at most one
+/// link per ordered node pair, so the edge relaxed out of the root is the
+/// first (and only) out-edge to that neighbour.
 pub(crate) fn shortest_paths_core(
     csr: &Csr,
     root: NodeId,
@@ -176,7 +154,7 @@ pub(crate) fn shortest_paths_core(
             if better && !s.done[vi] {
                 s.dist[vi] = nd;
                 s.pred[vi] = Some(u);
-                s.first[vi] = if u == root { Some(v) } else { s.first[ui] };
+                s.first[vi] = if u == root { eid[i] } else { s.first[ui] };
                 s.heap.push(Reverse((nd, v)));
             }
         }

@@ -5,17 +5,19 @@
 //! Every protocol in the HBH paper (HBH itself, REUNITE, PIM-SM, PIM-SS)
 //! rides on top of ordinary unicast routing: control messages are unicast
 //! hop-by-hop, and the recursive-unicast data plane forwards by unicast
-//! destination address. This crate computes that unicast routing layer
-//! ahead of time, exactly as NS-2's static routing does for the paper's
-//! simulations:
+//! destination address. This crate serves that unicast routing layer as
+//! NS-2's static routing does for the paper's simulations: fixed per cost
+//! draw, shortest paths over the directed costs:
 //!
 //! * [`dijkstra`] — single-source shortest paths over the *directed* link
 //!   costs (hosts never transit);
+//! * [`provider`] — the [`provider::RouteProvider`] trait and its one
+//!   implementation, [`provider::OnDemandRoutes`]: forward SPF rows over
+//!   the router core, computed on first lookup and then read without a
+//!   lock. Every simulated network routes through it;
 //! * [`tables::RoutingTables`] — all-pairs distances and next hops, the
-//!   eager forwarding state (exact, O(n²) — the paper-scale default);
-//! * [`provider`] — the [`provider::RouteProvider`] trait plus
-//!   [`provider::OnDemandRoutes`], lazy per-source SPF rows behind an LRU
-//!   for internet-scale topologies where n² tables no longer fit;
+//!   O(n²) reference that tests, analyses and QoS admission compare
+//!   against;
 //! * [`paths`] — path extraction and shortest-path-tree construction
 //!   (forward SPT and reverse SPT — the two tree shapes whose difference
 //!   under asymmetric costs is the whole point of the paper);
@@ -38,6 +40,6 @@ pub mod tables;
 #[cfg(test)]
 mod proptests;
 
-pub use dijkstra::{DijkstraScratch, ShortestPaths};
+pub use dijkstra::ShortestPaths;
 pub use provider::{OnDemandRoutes, RouteProvider, RouteStats};
 pub use tables::RoutingTables;

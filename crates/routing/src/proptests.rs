@@ -45,8 +45,9 @@ fn stub_victims(g: &Graph, seed: u64) -> (Vec<bool>, Vec<bool>) {
     (node_down, edge_down)
 }
 
-/// Every `(dist, next_hop)` answer of `lazy` equals `eager`'s.
-fn assert_same_routes(g: &Graph, eager: &RoutingTables, lazy: &OnDemandRoutes) {
+/// Every `(dist, next_hop)` answer of `lazy` equals `eager`'s, and the
+/// resident rows never exceed `capacity`.
+fn assert_same_routes(g: &Graph, eager: &RoutingTables, lazy: &OnDemandRoutes, capacity: usize) {
     for u in g.nodes() {
         for v in g.nodes() {
             assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {u}->{v}");
@@ -57,6 +58,7 @@ fn assert_same_routes(g: &Graph, eager: &RoutingTables, lazy: &OnDemandRoutes) {
             );
         }
     }
+    assert!(lazy.route_stats().cached_rows <= capacity);
 }
 
 /// Random masks failing each node and each directed edge with
@@ -92,7 +94,7 @@ fn on_demand_equals_eager_on_hierarchies_and_scenarios_under_random_masks() {
             let eager = RoutingTables::compute_avoiding(g, &node_down, &edge_down);
             let csr = Arc::new(Csr::from_graph(g));
             let lazy = OnDemandRoutes::with_masks(csr, node_down, edge_down, 4);
-            assert_same_routes(g, &eager, &lazy);
+            assert_same_routes(g, &eager, &lazy, 4);
         }
     }
 }
@@ -176,13 +178,14 @@ proptest! {
 
     /// The lazy provider answers exactly like the eager tables on every
     /// (src, dst) pair — identical distances AND identical next hops (the
-    /// tie-breaks must survive the CSR/caching path), even with a cache
-    /// small enough to force evictions mid-sweep.
+    /// tie-breaks must survive the CSR/caching path), even with a capacity
+    /// small enough that most rows are recomputed per lookup.
     #[test]
     fn on_demand_equals_eager_tables(seed in 0u64..100_000, n in 4usize..16, d in 0u8..8) {
         let g = arb_graph(seed, n, d);
         let eager = RoutingTables::compute(&g);
-        let lazy = OnDemandRoutes::new(&g, 3.max(n / 4));
+        let capacity = 3.max(n / 4);
+        let lazy = OnDemandRoutes::new(&g, capacity);
         for u in g.nodes() {
             for v in g.nodes() {
                 prop_assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {}->{}", u, v);
@@ -193,6 +196,7 @@ proptest! {
                 );
             }
         }
+        prop_assert!(lazy.route_stats().cached_rows <= capacity);
     }
 
     /// Same equivalence over the surviving topology with a failed host, a
@@ -203,11 +207,12 @@ proptest! {
         let g = arb_graph(seed, n, d);
         let (node_down, edge_down) = stub_victims(&g, seed);
         let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+        let capacity = 3.max(n / 4);
         let lazy = OnDemandRoutes::with_masks(
             Arc::new(Csr::from_graph(&g)),
             node_down,
             edge_down,
-            3.max(n / 4),
+            capacity,
         );
         for u in g.nodes() {
             for v in g.nodes() {
@@ -219,6 +224,7 @@ proptest! {
                 );
             }
         }
+        prop_assert!(lazy.route_stats().cached_rows <= capacity);
     }
 
     /// Fault transitions through `rerouted` (selective invalidation +

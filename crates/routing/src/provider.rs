@@ -1,21 +1,16 @@
-//! Demand-driven routing: the [`RouteProvider`] abstraction and its lazy
-//! [`OnDemandRoutes`] implementation.
+//! The unicast route service: the [`RouteProvider`] trait and its one
+//! implementation, [`OnDemandRoutes`].
 //!
 //! The paper's scaling argument is that HBH routers keep state only where
-//! trees actually pass — but the harness historically froze **all-pairs**
-//! Dijkstra into an `n×n` next-hop array per scenario draw, O(n²) memory
-//! and precompute that caps experiments near 50 routers. The fix mirrors
-//! the protocol's own philosophy: routes are a *service*, computed when
-//! first consulted and memoized per source.
-//!
-//! [`RouteProvider`] is the consumer-facing trait (`next_hop`, `dist`,
-//! `path`); [`crate::RoutingTables`] implements it as the exact eager
-//! fallback (bit-for-bit the historical behaviour, used for the paper's
-//! n≤50 figures), and [`OnDemandRoutes`] implements it lazily: one forward
-//! SPF row per *forwarding node actually consulted*, in an LRU with
-//! deterministic eviction. Both run the same CSR Dijkstra with the same
-//! tie-breaks, so on any (at, dst) pair they agree exactly — property
-//! tests pin this, with and without failed elements.
+//! trees actually pass. The route service follows the same idea: a
+//! forward SPF row is computed the first time its source is consulted and
+//! then kept, so memory scales with the forwarding nodes actually
+//! consulted rather than with n². Every simulated `Network` (in
+//! `hbh-sim-core`) routes through it, from the paper's 18-router ISP map
+//! to the 5k-router hierarchies. Answers equal the all-pairs
+//! [`crate::RoutingTables`] reference on every pair (same CSR Dijkstra,
+//! same tie-breaks); property tests pin this, with and without failed
+//! elements.
 //!
 //! # Rows span the core
 //!
@@ -35,29 +30,42 @@
 //! hierarchies, where single-homed hosts outnumber routers 20 to 1, this
 //! is what keeps a row small and an SPF cheap.
 //!
+//! A row entry holds the distance, the first out-edge (not the first-hop
+//! node) and the SPF-tree predecessor: 16 bytes. Storing the edge lets the
+//! simulator's per-packet step read the link id, next hop and cost without
+//! an adjacency scan.
+//!
+//! # Lookups take no lock
+//!
+//! Each core source owns one write-once slot. A lookup whose row is
+//! resident reads it without locking; only filling an empty slot takes the
+//! lock around the Dijkstra scratch. `capacity` caps the resident rows: a
+//! miss past the cap answers from the row left in the scratch and keeps
+//! nothing.
+//!
 //! # Faults
 //!
 //! On a fault event [`OnDemandRoutes::rerouted`] derives the post-failure
 //! provider. A failed or restored stub, or either access half-link,
 //! touches no row: lookups check those masks on the way in and out. New
-//! core failures invalidate only the cached rows whose SPF tree actually
-//! touches a newly failed element (removing an element can never improve
-//! an untouched tree, and tie-break winners stay winners when a losing
-//! candidate disappears); any *restoration* of a core element flushes the
-//! cache, since a returning element may improve arbitrary rows.
+//! core failures drop only the rows whose SPF tree actually touches a
+//! newly failed element (removing an element can never improve an
+//! untouched tree, and tie-break winners stay winners when a losing
+//! candidate disappears); the other rows pass to the next epoch by `Arc`.
+//! Any *restoration* of a core element starts the next epoch empty, since
+//! a returning element may improve arbitrary rows.
 
 use crate::dijkstra::{shortest_paths_core, DijkstraScratch};
 use crate::stubs::StubMap;
 use hbh_topo::csr::Csr;
-use hbh_topo::graph::{Graph, NodeId, PathCost};
-use std::collections::HashMap;
+use hbh_topo::graph::{EdgeId, Graph, NodeId, PathCost};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Unicast route lookups, independent of how routes are materialized.
+/// Unicast route lookups.
 ///
 /// Implementations must agree with [`crate::dijkstra::shortest_paths`] on
-/// every pair (same costs, same deterministic tie-breaks); they differ
-/// only in *when* routes are computed and how much memory they pin.
+/// every pair (same costs, same deterministic tie-breaks).
 pub trait RouteProvider {
     /// Number of nodes routes are answered for.
     fn node_count(&self) -> usize;
@@ -84,10 +92,8 @@ pub trait RouteProvider {
         Some(path)
     }
 
-    /// Cache behaviour counters; all zero for eager providers.
-    fn route_stats(&self) -> RouteStats {
-        RouteStats::default()
-    }
+    /// Row and lookup counters.
+    fn route_stats(&self) -> RouteStats;
 
     /// Heap bytes currently pinned by materialized route state.
     fn state_bytes(&self) -> usize;
@@ -96,16 +102,14 @@ pub trait RouteProvider {
 /// Counters describing how a provider materialized its answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// SPF rows computed (eager: one per node, up front; on demand: one
-    /// per core source consulted, since a stub reads its access router's
-    /// row).
+    /// SPF rows computed: one per core source first consulted in an epoch
+    /// (a stub reads its access router's row), plus one per lookup that
+    /// missed with the resident rows already at capacity.
     pub computed: u64,
-    /// Lookups answered from a cached row.
+    /// Lookups answered from a resident row.
     pub hits: u64,
     /// Lookups that had to compute a row first.
     pub misses: u64,
-    /// Rows dropped by LRU capacity pressure.
-    pub evicted: u64,
     /// Rows dropped because a fault event touched their tree.
     pub invalidated: u64,
     /// Rows resident right now.
@@ -126,104 +130,63 @@ impl RouteStats {
     }
 }
 
-impl RouteProvider for crate::RoutingTables {
-    fn node_count(&self) -> usize {
-        self.node_count()
-    }
+const NONE: u32 = u32::MAX;
 
-    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        crate::RoutingTables::next_hop(self, at, dst)
-    }
+/// One forward-SPF row over the core, indexed by core index: 16 bytes
+/// per entry.
+struct Row {
+    /// Distance from the row's source (`u64::MAX` = unreachable).
+    dist: Box<[PathCost]>,
+    /// The source's out-edge the path leaves through (an [`EdgeId`]
+    /// index, [`NONE`] for the source itself or unreachable).
+    first: Box<[u32]>,
+    /// SPF-tree predecessor (a node id, [`NONE`] = none); consulted when a
+    /// fault event asks "does this tree cross the failed edge?".
+    pred: Box<[u32]>,
+}
 
-    fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        crate::RoutingTables::dist(self, from, to)
-    }
-
-    fn path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        crate::RoutingTables::path(self, from, to)
-    }
-
-    fn route_stats(&self) -> RouteStats {
-        let n = self.node_count() as u64;
-        RouteStats {
-            computed: n,
-            cached_rows: self.node_count(),
-            ..RouteStats::default()
+impl Row {
+    fn from_scratch(s: &DijkstraScratch) -> Self {
+        Row {
+            dist: s.dist.as_slice().into(),
+            first: s.first.as_slice().into(),
+            pred: s.pred.iter().map(|p| p.map_or(NONE, |p| p.0)).collect(),
         }
     }
 
-    fn state_bytes(&self) -> usize {
-        // dist: Vec<PathCost>, next: Vec<Option<NodeId>>, both n×n.
-        let n = self.node_count();
-        n * n * (size_of::<PathCost>() + size_of::<Option<NodeId>>())
-    }
-}
-
-/// One memoized forward-SPF row over the core: everything core node `src`
-/// needs to answer `next_hop(src, *)` / `dist(src, *)`, plus the
-/// predecessor tree used for selective fault invalidation. Indexed by
-/// core index, not node id.
-struct Row {
-    /// `dist[c]` from the row's source (`u64::MAX` = unreachable).
-    dist: Box<[PathCost]>,
-    /// First hop (a node id) toward core node `c` (`u32::MAX` = none).
-    next: Box<[u32]>,
-    /// SPF-tree predecessor (a node id) of core node `c` (`u32::MAX` =
-    /// none); consulted when a fault event asks "does this tree cross the
-    /// failed edge?".
-    pred: Box<[u32]>,
-    /// LRU tick of the last lookup through this row.
-    last_used: u64,
-}
-
-const NONE: u32 = u32::MAX;
-
-impl Row {
     fn bytes(core: usize) -> usize {
         core * (size_of::<PathCost>() + 2 * size_of::<u32>())
     }
 }
 
-/// Everything behind the lock: the rows plus the counters and scratch that
-/// mutate on lookups.
-struct RowCache {
-    rows: HashMap<u32, Row>,
-    tick: u64,
-    scratch: DijkstraScratch,
-    stats: RouteStats,
-}
+/// The row slots of one epoch.
+type Slots = Box<[OnceLock<Arc<Row>>]>;
 
 /// Lazy per-source routing over a shared CSR view.
 ///
-/// `next_hop(at, dst)` materializes the forward SPF row of `at` on first
-/// consultation and memoizes it; subsequent lookups from `at` are O(1)
-/// array reads. Memory therefore scales with the number of *forwarding
-/// nodes actually consulted* (routers on active trees), not with n².
-///
-/// * **Core rows** — rows run and store over the core only; a stub (a
-///   single-homed host) is answered through its access router's row plus
-///   the access half-link (see the module docs).
-/// * **Capacity / eviction** — at most `capacity` rows stay resident; the
-///   victim is the row with the smallest `(last_used, source)` pair, so
-///   eviction (and everything downstream of it) is deterministic for a
-///   fixed lookup sequence.
-/// * **Faults** — the provider answers over the surviving topology
-///   described by its node/edge masks; [`OnDemandRoutes::rerouted`]
-///   derives the next fault epoch, carrying over every row the event
-///   provably cannot have changed.
-/// * **Sharing** — lookups take `&self` (interior mutability behind a
-///   [`Mutex`]), so paired protocol runs sharing one network also share
-///   one warm cache.
+/// `next_hop(at, dst)` computes the forward SPF row of `at` on first
+/// consultation and keeps it; later lookups from `at` are lock-free array
+/// reads. See the module docs for the core/stub split, the capacity and
+/// fault epochs.
 pub struct OnDemandRoutes {
     csr: Arc<Csr>,
     /// The core/stub split of `csr`, built on the first lookup and shared
-    /// by every provider [`OnDemandRoutes::rerouted`] derives.
+    /// by every epoch.
     stubs: Arc<OnceLock<StubMap>>,
     node_down: Vec<bool>,
     edge_down: Vec<bool>,
     capacity: usize,
     generation: u64,
-    cache: Mutex<RowCache>,
+    /// One write-once slot per core index, allocated on the first lookup.
+    rows: OnceLock<Slots>,
+    /// Filled slots; written only under the `scratch` lock.
+    resident: AtomicUsize,
+    /// Dijkstra working buffers, locked only to compute a row.
+    scratch: Mutex<DijkstraScratch>,
+    computed: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    invalidated: u64,
 }
 
 impl OnDemandRoutes {
@@ -251,26 +214,52 @@ impl OnDemandRoutes {
         edge_down: Vec<bool>,
         capacity: usize,
     ) -> Self {
+        assert!(capacity > 0, "route cache needs room for at least one row");
+        let (rows, stats) = (OnceLock::new(), RouteStats::default());
+        Self::epoch(
+            csr,
+            Arc::default(),
+            node_down,
+            edge_down,
+            capacity,
+            rows,
+            stats,
+        )
+    }
+
+    /// A provider over `rows`, its counters starting from `stats`.
+    fn epoch(
+        csr: Arc<Csr>,
+        stubs: Arc<OnceLock<StubMap>>,
+        node_down: Vec<bool>,
+        edge_down: Vec<bool>,
+        capacity: usize,
+        rows: OnceLock<Slots>,
+        stats: RouteStats,
+    ) -> Self {
         assert_eq!(node_down.len(), csr.node_count(), "node mask length");
         assert_eq!(
             edge_down.len(),
             csr.directed_edge_count(),
             "edge mask length"
         );
-        assert!(capacity > 0, "route cache needs room for at least one row");
+        let resident = rows
+            .get()
+            .map_or(0, |r| r.iter().filter(|r| r.get().is_some()).count());
         OnDemandRoutes {
             csr,
-            stubs: Arc::default(),
+            stubs,
             node_down,
             edge_down,
             capacity,
-            generation: 0,
-            cache: Mutex::new(RowCache {
-                rows: HashMap::new(),
-                tick: 0,
-                scratch: DijkstraScratch::default(),
-                stats: RouteStats::default(),
-            }),
+            generation: stats.generation,
+            rows,
+            resident: AtomicUsize::new(resident),
+            scratch: Mutex::default(),
+            computed: AtomicU64::new(stats.computed),
+            hits: AtomicU64::new(stats.hits),
+            misses: AtomicU64::new(stats.misses),
+            invalidated: stats.invalidated,
         }
     }
 
@@ -279,12 +268,21 @@ impl OnDemandRoutes {
         &self.csr
     }
 
+    #[inline]
     fn stubs(&self) -> &StubMap {
         self.stubs.get_or_init(|| StubMap::build(&self.csr))
     }
 
-    /// Derives the provider for the next fault epoch, reusing the CSR and
-    /// every cached row the change provably leaves exact.
+    #[inline]
+    fn slots(&self) -> &[OnceLock<Arc<Row>>] {
+        self.rows.get_or_init(|| {
+            let core = self.stubs().core_count();
+            (0..core).map(|_| OnceLock::new()).collect()
+        })
+    }
+
+    /// Derives the provider for the next fault epoch, sharing the CSR and
+    /// every resident row the change provably leaves exact.
     ///
     /// Only core elements matter: a stub or its access half-links
     /// (failed or restored) never transit, so they touch no row. A row
@@ -293,163 +291,173 @@ impl OnDemandRoutes {
     /// is one of its tree edges: removing elements the tree never touches
     /// cannot shorten any path, and a tie-break winner stays the winner
     /// when only losing candidates disappear. Any *restoration* of a core
-    /// element (a mask bit going `true → false`) flushes the whole cache
-    /// instead — a returning link may improve arbitrary rows. Cumulative
-    /// stats carry over; the generation counter increments.
+    /// element (a mask bit going `true → false`) drops every row instead —
+    /// a returning link may improve arbitrary rows. Surviving rows are
+    /// shared with `self` by `Arc`, cumulative stats carry over and the
+    /// generation counter increments.
     pub fn rerouted(&self, node_down: Vec<bool>, edge_down: Vec<bool>) -> Self {
         assert_eq!(node_down.len(), self.node_down.len(), "node mask length");
         assert_eq!(edge_down.len(), self.edge_down.len(), "edge mask length");
-        let mut old = self.cache.lock().unwrap();
-        let mut stats = old.stats;
-        let mut rows = std::mem::take(&mut old.rows);
+        let stubs = self.stubs();
+        let core_node = |v: usize| stubs.core_index(NodeId(v as u32));
+        // A core edge as (source node id, target core index).
+        let core_edge = |e: usize| {
+            let l = self.csr.edge_ends(EdgeId(e as u32));
+            stubs.core_index(l.from)?;
+            Some((l.from.0, stubs.core_index(l.to)?))
+        };
+        let (n, m) = (node_down.len(), edge_down.len());
+        let restored = (0..n).any(|v| self.node_down[v] && !node_down[v] && core_node(v).is_some())
+            || (0..m).any(|e| self.edge_down[e] && !edge_down[e] && core_edge(e).is_some());
+        let new_nodes: Vec<usize> = (0..n)
+            .filter(|&v| node_down[v] && !self.node_down[v])
+            .filter_map(core_node)
+            .collect();
+        let new_edges: Vec<(u32, usize)> = (0..m)
+            .filter(|&e| edge_down[e] && !self.edge_down[e])
+            .filter_map(core_edge)
+            .collect();
+        let touches = |row: &Row| {
+            restored
+                || new_nodes.iter().any(|&c| row.dist[c] != PathCost::MAX)
+                || new_edges.iter().any(|&(f, t)| row.pred[t] == f)
+        };
 
-        if !rows.is_empty() {
-            let stubs = self.stubs();
-            let core_node = |v: usize| stubs.core_index(NodeId(v as u32));
-            // A core edge as (source node id, target core index).
-            let core_edge = |e: usize| {
-                let l = self.csr.edge_ends(hbh_topo::EdgeId(e as u32));
-                stubs.core_index(l.from)?;
-                Some((l.from.0, stubs.core_index(l.to)?))
-            };
-            let (n, m) = (node_down.len(), edge_down.len());
-            let restored = (0..n)
-                .any(|v| self.node_down[v] && !node_down[v] && core_node(v).is_some())
-                || (0..m).any(|e| self.edge_down[e] && !edge_down[e] && core_edge(e).is_some());
-            if restored {
-                stats.invalidated += rows.len() as u64;
-                rows.clear();
-            } else {
-                let new_nodes: Vec<usize> = (0..n)
-                    .filter(|&v| node_down[v] && !self.node_down[v])
-                    .filter_map(core_node)
-                    .collect();
-                let new_edges: Vec<(u32, usize)> = (0..m)
-                    .filter(|&e| edge_down[e] && !self.edge_down[e])
-                    .filter_map(core_edge)
-                    .collect();
-                rows.retain(|_, row| {
-                    let touches_node = new_nodes.iter().any(|&c| row.dist[c] != PathCost::MAX);
-                    let touches_edge = new_edges.iter().any(|&(f, t)| row.pred[t] == f);
-                    let keep = !touches_node && !touches_edge;
-                    if !keep {
-                        stats.invalidated += 1;
-                    }
-                    keep
-                });
-            }
+        let mut invalidated = self.invalidated;
+        let mut rows = OnceLock::new();
+        if let Some(slots) = self.rows.get() {
+            let kept = slots.iter().map(|slot| match slot.get() {
+                Some(row) if touches(row) => {
+                    invalidated += 1;
+                    OnceLock::new()
+                }
+                Some(row) => OnceLock::from(Arc::clone(row)),
+                None => OnceLock::new(),
+            });
+            rows = OnceLock::from(kept.collect::<Slots>());
         }
-        stats.cached_rows = rows.len();
 
-        OnDemandRoutes {
-            csr: Arc::clone(&self.csr),
-            stubs: Arc::clone(&self.stubs),
+        let stats = RouteStats {
+            invalidated,
+            generation: self.generation + 1,
+            ..self.route_stats()
+        };
+        Self::epoch(
+            Arc::clone(&self.csr),
+            Arc::clone(&self.stubs),
             node_down,
             edge_down,
-            capacity: self.capacity,
-            generation: self.generation + 1,
-            cache: Mutex::new(RowCache {
-                rows,
-                tick: old.tick,
-                scratch: DijkstraScratch::default(),
-                stats,
-            }),
-        }
+            self.capacity,
+            rows,
+            stats,
+        )
     }
 
     /// Sources with a resident row, ascending (test introspection). Only
     /// core nodes have rows.
     pub fn cached_sources(&self) -> Vec<NodeId> {
-        let c = self.cache.lock().unwrap();
-        let mut v: Vec<u32> = c.rows.keys().copied().collect();
-        v.sort_unstable();
-        v.into_iter().map(NodeId).collect()
+        let Some(slots) = self.rows.get() else {
+            return Vec::new();
+        };
+        (0..self.csr.node_count() as u32)
+            .map(NodeId)
+            .filter(|&v| {
+                self.stubs()
+                    .core_index(v)
+                    .is_some_and(|c| slots[c].get().is_some())
+            })
+            .collect()
     }
 
-    /// Runs `f` over the (possibly just materialized) row of core node
-    /// `src`.
-    fn with_row<R>(&self, src: NodeId, f: impl FnOnce(&Row) -> R) -> R {
-        let c = &mut *self.cache.lock().unwrap();
-        c.tick += 1;
-        let tick = c.tick;
-        if let Some(row) = c.rows.get_mut(&src.0) {
-            row.last_used = tick;
-            c.stats.hits += 1;
-            return f(row);
+    /// `(dist, first out-edge)` toward core index `dst` in the row of
+    /// core index `c`, computing the row from core node `src()` first if
+    /// its slot is empty.
+    #[inline]
+    fn entry(&self, c: usize, dst: usize, src: impl FnOnce() -> NodeId) -> (PathCost, u32) {
+        match self.slots()[c].get() {
+            Some(row) => {
+                self.hits.fetch_add(1, Relaxed);
+                (row.dist[dst], row.first[dst])
+            }
+            None => self.fill(src(), c, dst),
         }
-        c.stats.misses += 1;
-        c.stats.computed += 1;
+    }
 
+    /// The miss path of [`OnDemandRoutes::entry`].
+    #[cold]
+    fn fill(&self, src: NodeId, c: usize, dst: usize) -> (PathCost, u32) {
+        let slot = &self.slots()[c];
+        let mut s = self.scratch.lock().expect("no SPF panicked");
+        // Another lookup may have filled the slot while this one waited.
+        if let Some(row) = slot.get() {
+            self.hits.fetch_add(1, Relaxed);
+            return (row.dist[dst], row.first[dst]);
+        }
+        self.misses.fetch_add(1, Relaxed);
+        self.computed.fetch_add(1, Relaxed);
         let stubs = self.stubs();
         shortest_paths_core(
             &self.csr,
             src,
-            &mut c.scratch,
+            &mut s,
             stubs.core_count(),
             |v| stubs.core_index(v).filter(|_| !self.node_down[v.index()]),
             |e| !self.edge_down[e.index()],
         );
-        let pack = |xs: &[Option<NodeId>]| -> Box<[u32]> {
-            xs.iter().map(|x| x.map_or(NONE, |n| n.0)).collect()
-        };
-        let row = Row {
-            dist: c.scratch.dist.as_slice().into(),
-            next: pack(&c.scratch.first),
-            pred: pack(&c.scratch.pred),
-            last_used: tick,
-        };
-
-        if c.rows.len() >= self.capacity {
-            // Deterministic LRU: oldest tick, ties to the smallest source.
-            let victim = c
-                .rows
-                .iter()
-                .map(|(&src, row)| (row.last_used, src))
-                .min()
-                .expect("capacity > 0 and cache full");
-            c.rows.remove(&victim.1);
-            c.stats.evicted += 1;
+        if self.resident.load(Relaxed) < self.capacity
+            && slot.set(Arc::new(Row::from_scratch(&s))).is_ok()
+        {
+            self.resident.fetch_add(1, Relaxed);
         }
-        let r = f(c.rows.entry(src.0).or_insert(row));
-        c.stats.cached_rows = c.rows.len();
-        r
+        (s.dist[dst], s.first[dst])
     }
 
-    /// The shortest `from → to` route as `(cost, first hop)`, `None` if
-    /// unreachable. Stub ends are peeled off to their access router and
-    /// the rest is read from the core row of the source side.
-    fn route(&self, from: NodeId, to: NodeId) -> Option<(PathCost, Option<NodeId>)> {
+    /// The shortest `from → to` route as `(cost, first out-edge)`, `None`
+    /// if unreachable; the edge is `None` when `from == to`. Stub ends are
+    /// peeled off to their access router and the rest is read from the
+    /// core row of the source side.
+    #[inline]
+    fn route(&self, from: NodeId, to: NodeId) -> Option<(PathCost, Option<EdgeId>)> {
         let down = |v: NodeId| self.node_down[v.index()];
         if from == to {
             return (!down(from)).then_some((0, None));
         }
         let stubs = self.stubs();
         // Source side: a stub leaves through its access router.
-        let (src, up_cost) = match stubs.access(&self.csr, from) {
+        let (src_core, up_cost, up) = match stubs.access(from) {
             Some(a) if down(from) || self.edge_down[a.up.index()] => return None,
-            Some(a) => (a.router, PathCost::from(a.up_cost)),
-            None => (from, 0),
+            Some(a) => (a.core as usize, a.up_cost, Some(a.up)),
+            None => (stubs.core_index(from).expect("core node"), 0, None),
         };
-        // Destination side: a stub is reached through its access router.
-        let (dst_core, down_cost, dst_access) = match stubs.access(&self.csr, to) {
+        // Destination side: a stub is reached through its access router,
+        // which hands over to it directly.
+        let (dst_core, down_cost, handover) = match stubs.access(to) {
             Some(a) if down(to) || self.edge_down[a.down.index()] => return None,
-            Some(a) => (a.core as usize, PathCost::from(a.down_cost), Some(a.router)),
+            Some(a) => (a.core as usize, a.down_cost, Some(a.down)),
             None => (stubs.core_index(to).expect("core node"), 0, None),
         };
-        self.with_row(src, |row| {
-            let d = row.dist[dst_core];
-            if d == PathCost::MAX {
-                return None;
-            }
-            let hop = if src != from {
-                src // a stub's first hop is its access router
-            } else if dst_access == Some(src) {
-                to // the access router hands over to its stub
-            } else {
-                NodeId(row.next[dst_core])
-            };
-            Some((up_cost + d + down_cost, Some(hop)))
-        })
+        let (dist, first) = self.entry(src_core, dst_core, || {
+            up.map_or(from, |e| self.csr.edge_ends(e).to)
+        });
+        if dist == PathCost::MAX {
+            return None;
+        }
+        let first = match (up, handover) {
+            (Some(e), _) => e,
+            (None, Some(e)) if dst_core == src_core => e,
+            _ => EdgeId(first),
+        };
+        Some((
+            PathCost::from(up_cost) + dist + PathCost::from(down_cost),
+            Some(first),
+        ))
+    }
+
+    /// The out-edge of `at` that a packet destined to `dst` leaves
+    /// through. `None` if `at == dst` or `dst` is unreachable.
+    #[inline]
+    pub fn first_edge(&self, at: NodeId, dst: NodeId) -> Option<EdgeId> {
+        self.route(at, dst)?.1
     }
 }
 
@@ -459,7 +467,7 @@ impl RouteProvider for OnDemandRoutes {
     }
 
     fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.route(at, dst)?.1
+        Some(self.csr.edge_ends(self.first_edge(at, dst)?).to)
     }
 
     fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
@@ -467,32 +475,36 @@ impl RouteProvider for OnDemandRoutes {
     }
 
     fn route_stats(&self) -> RouteStats {
-        let c = self.cache.lock().unwrap();
         RouteStats {
-            cached_rows: c.rows.len(),
+            computed: self.computed.load(Relaxed),
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            invalidated: self.invalidated,
+            cached_rows: self.resident.load(Relaxed),
             generation: self.generation,
-            ..c.stats
         }
     }
 
     fn state_bytes(&self) -> usize {
-        let c = self.cache.lock().unwrap();
         let (core, map) = self
             .stubs
             .get()
             .map_or((0, 0), |s| (s.core_count(), s.bytes()));
-        c.rows.len() * Row::bytes(core) + map + self.node_down.len() + self.edge_down.len()
+        let slots = self.rows.get().map_or(0, |r| r.len());
+        self.resident.load(Relaxed) * Row::bytes(core)
+            + slots * size_of::<OnceLock<Arc<Row>>>()
+            + map
+            + self.node_down.len()
+            + self.edge_down.len()
     }
 }
 
 impl std::fmt::Debug for OnDemandRoutes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.route_stats();
         f.debug_struct("OnDemandRoutes")
             .field("nodes", &self.csr.node_count())
             .field("capacity", &self.capacity)
-            .field("generation", &self.generation)
-            .field("stats", &stats)
+            .field("stats", &self.route_stats())
             .finish()
     }
 }
@@ -515,20 +527,23 @@ mod tests {
     #[test]
     fn agrees_with_eager_tables_on_isp() {
         let g = isp(5);
-        let eager = RoutingTables::compute(&g);
-        let lazy = OnDemandRoutes::new(&g, 64);
+        assert_same_routes(
+            &g,
+            &RoutingTables::compute(&g),
+            &OnDemandRoutes::new(&g, 64),
+        );
+    }
+
+    /// Every `(dist, next_hop)` answer of `lazy` equals the reference's,
+    /// and every first edge leads to that next hop.
+    fn assert_same_routes(g: &Graph, reference: &RoutingTables, lazy: &OnDemandRoutes) {
         for u in g.nodes() {
             for v in g.nodes() {
-                assert_eq!(
-                    RouteProvider::dist(&eager, u, v),
-                    lazy.dist(u, v),
-                    "dist {u}->{v}"
-                );
-                assert_eq!(
-                    RouteProvider::next_hop(&eager, u, v),
-                    lazy.next_hop(u, v),
-                    "hop {u}->{v}"
-                );
+                assert_eq!(reference.dist(u, v), lazy.dist(u, v), "dist {u}->{v}");
+                let hop = reference.next_hop(u, v);
+                assert_eq!(hop, lazy.next_hop(u, v), "hop {u}->{v}");
+                let edge = lazy.first_edge(u, v);
+                assert_eq!(edge, hop.map(|h| g.edge_entry(u, h).unwrap().0));
             }
         }
     }
@@ -553,16 +568,25 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_deterministically() {
+    fn capacity_caps_resident_rows() {
         let g = isp(2);
+        let reference = RoutingTables::compute(&g);
         let lazy = OnDemandRoutes::new(&g, 2);
         let nodes: Vec<NodeId> = g.nodes().collect();
-        lazy.dist(nodes[0], nodes[5]); // tick 1
-        lazy.dist(nodes[1], nodes[5]); // tick 2
-        lazy.dist(nodes[0], nodes[6]); // tick 3: refreshes row 0
-        lazy.dist(nodes[2], nodes[5]); // tick 4: must evict row 1 (oldest)
-        assert_eq!(lazy.cached_sources(), vec![nodes[0], nodes[2]]);
-        assert_eq!(lazy.route_stats().evicted, 1);
+        for (u, v) in [(0, 5), (1, 5), (0, 6), (2, 5), (2, 6)] {
+            let (u, v) = (nodes[u], nodes[v]);
+            assert_eq!(lazy.dist(u, v), reference.dist(u, v), "dist {u}->{v}");
+            assert_eq!(
+                lazy.next_hop(u, v),
+                reference.next_hop(u, v),
+                "hop {u}->{v}"
+            );
+            assert!(lazy.route_stats().cached_rows <= 2);
+        }
+        // The first two rows stay; row 2 is recomputed per lookup.
+        assert_eq!(lazy.cached_sources(), vec![nodes[0], nodes[1]]);
+        let s = lazy.route_stats();
+        assert_eq!((s.computed, s.misses, s.hits), (6, 6, 4));
     }
 
     #[test]
@@ -572,7 +596,7 @@ mod tests {
         let lazy = OnDemandRoutes::new(&g, 64);
         for u in g.nodes().take(6) {
             for v in g.nodes().take(6) {
-                assert_eq!(eager.path(u, v), RouteProvider::path(&lazy, u, v));
+                assert_eq!(eager.path(u, v), lazy.path(u, v));
             }
         }
     }
@@ -587,20 +611,7 @@ mod tests {
         let eager = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
         let lazy =
             OnDemandRoutes::with_masks(Arc::new(Csr::from_graph(&g)), node_down, edge_down, 64);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(
-                    RouteProvider::dist(&eager, u, v),
-                    lazy.dist(u, v),
-                    "dist {u}->{v}"
-                );
-                assert_eq!(
-                    RouteProvider::next_hop(&eager, u, v),
-                    lazy.next_hop(u, v),
-                    "hop {u}->{v}"
-                );
-            }
-        }
+        assert_same_routes(&g, &eager, &lazy);
     }
 
     #[test]
@@ -629,7 +640,7 @@ mod tests {
         );
         for &u in &nodes {
             for &v in &nodes {
-                assert_eq!(RouteProvider::dist(&fresh, u, v), next.dist(u, v));
+                assert_eq!(fresh.dist(u, v), next.dist(u, v));
             }
         }
     }
@@ -657,19 +668,20 @@ mod tests {
         let plain = RoutingTables::compute(&g);
         for &u in nodes.iter().take(5) {
             for &v in nodes.iter().take(5) {
-                assert_eq!(RouteProvider::dist(&plain, u, v), healed.dist(u, v));
+                assert_eq!(plain.dist(u, v), healed.dist(u, v));
             }
         }
     }
 
     #[test]
-    fn pinned_seed_eviction_and_recompute_is_deterministic() {
+    fn pinned_seed_recompute_past_capacity_is_deterministic() {
         use rand::RngExt;
         // Two independent providers fed the identical pseudorandom lookup
         // stream (pinned seed, capacity far below the working set) must
-        // agree on every answer, every counter, and the resident set —
-        // i.e. eviction + recompute is a pure function of the sequence.
+        // agree with the reference on every answer, and with each other
+        // on every counter and the resident set.
         let g = isp(9);
+        let reference = RoutingTables::compute(&g);
         let nodes: Vec<NodeId> = g.nodes().collect();
         let a = OnDemandRoutes::new(&g, 3);
         let b = OnDemandRoutes::new(&g, 3);
@@ -677,17 +689,20 @@ mod tests {
         for _ in 0..200 {
             let u = nodes[rng.random_range(0..nodes.len())];
             let v = nodes[rng.random_range(0..nodes.len())];
-            assert_eq!(a.next_hop(u, v), b.next_hop(u, v), "hop {u}->{v}");
-            assert_eq!(a.dist(u, v), b.dist(u, v), "dist {u}->{v}");
+            assert_eq!(a.next_hop(u, v), reference.next_hop(u, v), "hop {u}->{v}");
+            assert_eq!(a.dist(u, v), reference.dist(u, v), "dist {u}->{v}");
+            assert_eq!(b.next_hop(u, v), reference.next_hop(u, v), "hop {u}->{v}");
+            assert_eq!(b.dist(u, v), reference.dist(u, v), "dist {u}->{v}");
+            assert!(a.route_stats().cached_rows <= 3);
         }
         assert_eq!(a.route_stats(), b.route_stats());
         assert_eq!(a.cached_sources(), b.cached_sources());
         let s = a.route_stats();
-        assert!(
-            s.evicted > 0,
-            "capacity 3 must have evicted under 200 lookups"
-        );
         assert_eq!(s.cached_rows, 3);
+        assert!(
+            s.computed > 3,
+            "rows past the capacity must be recomputed per lookup"
+        );
     }
 
     /// The ISP map (one single-homed host per router) with every router
@@ -723,22 +738,12 @@ mod tests {
             if let Some(e) = failed_edge {
                 edge_down[e.index()] = true;
             }
-            // `rerouted` moves the rows out, so warm a fresh provider.
-            let (_, lazy) = warm_isp(10);
-            let next = lazy.rerouted(node_down.clone(), edge_down.clone());
+            let next = warm.rerouted(node_down.clone(), edge_down.clone());
             assert_eq!(next.route_stats().invalidated, 0);
             assert_eq!(next.cached_sources(), rows, "router rows survive");
+            assert_eq!(warm.cached_sources(), rows, "and stay in the parent");
             let fresh = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(RouteProvider::dist(&fresh, u, v), next.dist(u, v));
-                    assert_eq!(
-                        RouteProvider::next_hop(&fresh, u, v),
-                        next.next_hop(u, v),
-                        "hop {u}->{v}"
-                    );
-                }
-            }
+            assert_same_routes(&g, &fresh, &next);
             // Healing the stub again touches no row either.
             let healed = next.rerouted(vec![false; g.node_count()], vec![false; m]);
             assert_eq!(healed.cached_sources(), rows);
@@ -771,27 +776,14 @@ mod tests {
         assert!(g.node_count() >= 2 * routers, "half the nodes are stubs");
         let rows = lazy.cached_sources().len();
         let masks = g.node_count() + g.directed_edge_count();
-        let map = 8 * g.node_count();
+        let map = 16 * g.node_count();
+        let slots = 16 * routers;
         assert_eq!(
             lazy.state_bytes(),
-            rows * Row::bytes(routers) + map + masks,
+            rows * Row::bytes(routers) + slots + map + masks,
             "rows span the {routers} routers, not all {} nodes",
             g.node_count()
         );
         assert_eq!(Row::bytes(routers), routers * 16);
-    }
-
-    #[test]
-    fn eager_provider_reports_full_footprint() {
-        let g = isp(8);
-        let t = RoutingTables::compute(&g);
-        let n = g.node_count();
-        assert_eq!(
-            RouteProvider::state_bytes(&t),
-            n * n * (size_of::<PathCost>() + size_of::<Option<NodeId>>())
-        );
-        let lazy = OnDemandRoutes::new(&g, 64);
-        lazy.dist(g.nodes().next().unwrap(), g.nodes().nth(1).unwrap());
-        assert!(lazy.state_bytes() < RouteProvider::state_bytes(&t));
     }
 }

@@ -16,29 +16,28 @@ use crate::dijkstra::ShortestPaths;
 use crate::tables::RoutingTables;
 use hbh_topo::graph::{Bandwidth, Graph, NodeId, PathCost};
 
+/// The bandwidth shadow of `g`: same nodes and edge ids, with every
+/// directed link below `min_bw` re-costed to [`BLOCKED_COST`] so it is
+/// never chosen while a compliant path exists. (A true removal would
+/// change nothing else: costs cap at 10 in every experiment, so the
+/// sentinel can never be part of a chosen path unless no compliant path
+/// exists at all.)
+pub fn shadow_graph(g: &Graph, min_bw: Bandwidth) -> Graph {
+    let mut shadow = g.clone();
+    for (l, _) in g.directed_links() {
+        if g.bandwidth(l.from, l.to).expect("directed link exists") < min_bw {
+            shadow.set_cost(l.from, l.to, BLOCKED_COST);
+        }
+    }
+    shadow
+}
+
 /// Computes routing tables over the sub-topology of directed links with
 /// `bandwidth ≥ min_bw`. Reachability may shrink: pairs with no compliant
 /// path report `None` distances, and the caller decides whether that is
 /// admission failure or cause for re-dimensioning.
 pub fn constrained_tables(g: &Graph, min_bw: Bandwidth) -> RoutingTables {
-    // Filter into a shadow graph with identical node numbering: links
-    // below the floor are re-costed to effectively-infinite so they are
-    // never chosen but the structure (and LinkId space) stays identical.
-    // (A true removal would change nothing else: costs cap at 10 in every
-    // experiment, so the sentinel can never be part of a chosen path
-    // unless no compliant path exists at all.)
-    let mut shadow = g.clone();
-    let mut any_compliant = false;
-    for (l, _) in g.directed_links() {
-        let bw = g.bandwidth(l.from, l.to).expect("directed link exists");
-        if bw < min_bw {
-            shadow.set_cost(l.from, l.to, BLOCKED_COST);
-        } else {
-            any_compliant = true;
-        }
-    }
-    let _ = any_compliant;
-    RoutingTables::compute(&shadow)
+    RoutingTables::compute(&shadow_graph(g, min_bw))
 }
 
 /// Cost sentinel marking non-compliant links in the shadow graph. Any
@@ -78,13 +77,7 @@ pub fn constrained_path(t: &RoutingTables, src: NodeId, dst: NodeId) -> Option<V
 
 /// Re-exported for callers that only need one root.
 pub fn constrained_spf(g: &Graph, root: NodeId, min_bw: Bandwidth) -> ShortestPaths {
-    let mut shadow = g.clone();
-    for (l, _) in g.directed_links() {
-        if g.bandwidth(l.from, l.to).unwrap() < min_bw {
-            shadow.set_cost(l.from, l.to, BLOCKED_COST);
-        }
-    }
-    crate::dijkstra::shortest_paths(&shadow, root)
+    crate::dijkstra::shortest_paths(&shadow_graph(g, min_bw), root)
 }
 
 #[cfg(test)]

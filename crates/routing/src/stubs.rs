@@ -3,7 +3,7 @@
 //! keep SPF rows over the core only; see the provider module docs for
 //! why that is exact.
 //!
-//! [`StubMap`] holds one 8-byte [`Attach`] per node and is built in one
+//! [`StubMap`] holds one 16-byte [`Attach`] per node and is built in one
 //! pass over nodes plus one over edges.
 
 use hbh_topo::csr::Csr;
@@ -12,19 +12,21 @@ use std::num::NonZeroU32;
 
 /// How one node attaches to the core.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Attach {
+struct Attach {
     /// The node's own core index, or for a stub its access router's.
-    pub(crate) core: u32,
+    core: u32,
     /// For a stub, the cost of the access router → stub half-link; `None`
     /// for a core node. (Link costs are ≥ 1, so it is never zero.)
-    pub(crate) down: Option<NonZeroU32>,
+    down_cost: Option<NonZeroU32>,
+    /// For a stub, its stub → router half-link (an [`EdgeId`] index).
+    up: u32,
+    /// For a stub, the cost of that half-link.
+    up_cost: Cost,
 }
 
-/// A stub's access half-links, as read from the CSR.
+/// A stub's access half-links.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Access {
-    /// The access router.
-    pub(crate) router: NodeId,
     /// Core index of the access router.
     pub(crate) core: u32,
     /// Stub → router half-link and its cost.
@@ -60,7 +62,13 @@ impl StubMap {
         let mut core_count = 0u32;
         for v in 0..n {
             let v = NodeId(v as u32);
-            let core = if let Some((router, up)) = Self::uplink(csr, v) {
+            let mut a = Attach {
+                core: PENDING,
+                down_cost: None,
+                up: 0,
+                up_cost: 0,
+            };
+            if let Some((router, up, up_cost)) = Self::uplink(csr, v) {
                 // `Graph` allocates the two halves of a link as one pair
                 // of consecutive edge ids.
                 assert_eq!(
@@ -69,12 +77,12 @@ impl StubMap {
                     "stub {v}: reverse half-link is not edge {}",
                     up.0 ^ 1
                 );
-                PENDING
+                (a.up, a.up_cost) = (up.0, up_cost);
             } else {
+                a.core = core_count;
                 core_count += 1;
-                core_count - 1
-            };
-            attach.push(Attach { core, down: None });
+            }
+            attach.push(a);
         }
         // A stub's only in-edge comes from its access router, which is a
         // router and therefore core: one sweep over the core's out-edges
@@ -89,7 +97,7 @@ impl StubMap {
                 let a = &mut attach[v as usize];
                 if a.core == PENDING {
                     a.core = u_core;
-                    a.down = Some(NonZeroU32::new(c).expect("link costs are >= 1"));
+                    a.down_cost = Some(NonZeroU32::new(c).expect("link costs are >= 1"));
                 }
             }
         }
@@ -100,14 +108,14 @@ impl StubMap {
         }
     }
 
-    /// The access router and up-link of `v` if it is a stub.
-    fn uplink(csr: &Csr, v: NodeId) -> Option<(NodeId, EdgeId)> {
+    /// The access router, up-link and its cost if `v` is a stub.
+    fn uplink(csr: &Csr, v: NodeId) -> Option<(NodeId, EdgeId, Cost)> {
         if !csr.is_host(v) || csr.out_degree(v) != 1 {
             return None;
         }
-        let (to, _, eid) = csr.out_slices(v);
+        let (to, cost, eid) = csr.out_slices(v);
         let router = NodeId(to[0]);
-        (!csr.is_host(router)).then_some((router, EdgeId(eid[0])))
+        (!csr.is_host(router)).then_some((router, EdgeId(eid[0]), cost[0]))
     }
 
     /// Number of core nodes (the width of an SPF row).
@@ -119,22 +127,19 @@ impl StubMap {
     #[inline]
     pub(crate) fn core_index(&self, v: NodeId) -> Option<usize> {
         let a = self.attach[v.index()];
-        a.down.is_none().then_some(a.core as usize)
+        a.down_cost.is_none().then_some(a.core as usize)
     }
 
     /// `v`'s access half-links if it is a stub, `None` if it is core.
     #[inline]
-    pub(crate) fn access(&self, csr: &Csr, v: NodeId) -> Option<Access> {
+    pub(crate) fn access(&self, v: NodeId) -> Option<Access> {
         let a = self.attach[v.index()];
-        let down_cost = a.down?.get();
-        let (to, cost, eid) = csr.out_slices(v);
         Some(Access {
-            router: NodeId(to[0]),
             core: a.core,
-            up: EdgeId(eid[0]),
-            up_cost: cost[0],
-            down: EdgeId(eid[0] ^ 1),
-            down_cost,
+            up: EdgeId(a.up),
+            up_cost: a.up_cost,
+            down: EdgeId(a.up ^ 1),
+            down_cost: a.down_cost?.get(),
         })
     }
 
@@ -162,13 +167,13 @@ mod tests {
         assert_eq!(map.core_count(), 2);
         assert_eq!((map.core_index(a), map.core_index(b)), (Some(0), Some(1)));
         assert_eq!(map.core_index(h), None);
-        let acc = map.access(&csr, h).unwrap();
-        assert_eq!((acc.router, acc.core), (b, 1));
+        let acc = map.access(h).unwrap();
+        assert_eq!(acc.core, 1);
         assert_eq!((acc.up_cost, acc.down_cost), (5, 4));
         assert_eq!(csr.edge_ends(acc.up), LinkId::new(h, b));
         assert_eq!(csr.edge_ends(acc.down), LinkId::new(b, h));
-        assert!(map.access(&csr, a).is_none());
-        assert_eq!(map.bytes(), 3 * 8, "8 bytes per node");
+        assert!(map.access(a).is_none());
+        assert_eq!(map.bytes(), 3 * 16, "16 bytes per node");
     }
 
     #[test]

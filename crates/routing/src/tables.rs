@@ -1,12 +1,13 @@
-//! All-pairs forwarding tables.
+//! All-pairs forwarding tables: the reference routing.
 //!
-//! [`RoutingTables`] is the unicast forwarding state every simulated node
-//! consults: `next_hop(at, dst)` answers "which neighbor does a packet for
-//! `dst` leave through?". It is computed once per cost assignment by
-//! running [`crate::dijkstra`] from every node — NS-2's static routing does
-//! the same before the simulation starts.
+//! [`RoutingTables`] answers `next_hop(at, dst)` ("which neighbor does a
+//! packet for `dst` leave through?") for every pair, by running
+//! [`crate::dijkstra`] from every node, as NS-2's static routing does
+//! before the simulation starts. Simulations route through
+//! [`crate::OnDemandRoutes`] instead; these tables are what tests, path
+//! and asymmetry analyses and QoS admission compare against.
 
-use crate::dijkstra::{shortest_paths_avoiding_csr_into, shortest_paths_csr_into, DijkstraScratch};
+use crate::dijkstra::{edge_target, shortest_paths_core, DijkstraScratch};
 use hbh_topo::csr::Csr;
 use hbh_topo::graph::{Graph, NodeId, PathCost};
 
@@ -41,91 +42,45 @@ pub struct RoutingTables {
 
 impl RoutingTables {
     /// Builds the tables for the current costs of `g`.
-    ///
-    /// The graph is packed into a [`Csr`] once, then one Dijkstra run per
-    /// node, all sharing one scratch buffer. Each search resolves first
-    /// hops inline, so a table row is a plain copy of the search result —
-    /// no per-row sort or path reconstruction.
     pub fn compute(g: &Graph) -> Self {
-        Self::compute_csr(&Csr::from_graph(g))
-    }
-
-    /// [`RoutingTables::compute`] over a pre-packed CSR view.
-    pub fn compute_csr(csr: &Csr) -> Self {
-        let n = csr.node_count();
-        let mut dist = vec![PathCost::MAX; n * n];
-        let mut next = vec![None; n * n];
-        let mut scratch = DijkstraScratch::default();
-        for u in 0..n {
-            let u = NodeId(u as u32);
-            shortest_paths_csr_into(csr, u, &mut scratch);
-            let row = u.index() * n;
-            dist[row..row + n].copy_from_slice(&scratch.dist);
-            next[row..row + n].copy_from_slice(&scratch.first);
-        }
-        RoutingTables { n, dist, next }
+        let (n, m) = (g.node_count(), g.directed_edge_count());
+        Self::compute_avoiding(g, &vec![false; n], &vec![false; m])
     }
 
     /// [`RoutingTables::compute`] over the *surviving* topology: nodes
     /// flagged in `node_down` and directed edges flagged in `edge_down` are
     /// treated as absent. This models instantaneous unicast reconvergence
-    /// after a failure — the substrate the multicast protocols repair on
-    /// top of. Rows of down nodes are fully unreachable (a crashed router
-    /// neither originates nor receives).
+    /// after a failure. Rows of down nodes are fully unreachable (a crashed
+    /// router neither originates nor receives).
     ///
-    /// With all-false masks the result is identical to
-    /// [`RoutingTables::compute`] (same searches, same tie-breaks), which
-    /// the fault-free equivalence tests pin.
+    /// The graph is packed into a [`Csr`] once, then one Dijkstra run per
+    /// node, all sharing one scratch buffer.
     ///
     /// # Panics
     /// Panics if a mask length does not match the graph.
     pub fn compute_avoiding(g: &Graph, node_down: &[bool], edge_down: &[bool]) -> Self {
-        let mut scratch = DijkstraScratch::default();
-        Self::compute_avoiding_with(g, node_down, edge_down, &mut scratch)
-    }
-
-    /// [`RoutingTables::compute_avoiding`] with caller-held scratch, for
-    /// call sites that reroute repeatedly (one reroute per fault event in a
-    /// churn run): the n searches of one call *and* every subsequent call
-    /// reuse the same buffers instead of reallocating per source.
-    pub fn compute_avoiding_with(
-        g: &Graph,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut DijkstraScratch,
-    ) -> Self {
         assert_eq!(node_down.len(), g.node_count(), "node mask length");
         assert_eq!(edge_down.len(), g.directed_edge_count(), "edge mask length");
-        Self::compute_avoiding_csr_with(&Csr::from_graph(g), node_down, edge_down, scratch)
-    }
-
-    /// [`RoutingTables::compute_avoiding_with`] over a pre-packed CSR view
-    /// (the fault-reroute hot path packs once per topology and reuses it
-    /// across every fault event).
-    pub fn compute_avoiding_csr_with(
-        csr: &Csr,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut DijkstraScratch,
-    ) -> Self {
-        assert_eq!(node_down.len(), csr.node_count(), "node mask length");
-        assert_eq!(
-            edge_down.len(),
-            csr.directed_edge_count(),
-            "edge mask length"
-        );
+        let csr = Csr::from_graph(g);
         let n = csr.node_count();
         let mut dist = vec![PathCost::MAX; n * n];
         let mut next = vec![None; n * n];
+        let mut s = DijkstraScratch::default();
         for u in 0..n {
             let u = NodeId(u as u32);
-            if node_down[u.index()] {
-                continue; // row stays unreachable
-            }
-            shortest_paths_avoiding_csr_into(csr, u, scratch, node_down, edge_down);
+            shortest_paths_core(
+                &csr,
+                u,
+                &mut s,
+                n,
+                |v| (!node_down[v.index()]).then_some(v.index()),
+                |e| !edge_down[e.index()],
+            );
             let row = u.index() * n;
-            dist[row..row + n].copy_from_slice(&scratch.dist);
-            next[row..row + n].copy_from_slice(&scratch.first);
+            dist[row..row + n].copy_from_slice(&s.dist);
+            for (hop, &e) in next[row..row + n].iter_mut().zip(&s.first) {
+                *hop = edge_target(&csr, e);
+            }
         }
         RoutingTables { n, dist, next }
     }

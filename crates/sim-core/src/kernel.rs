@@ -154,9 +154,6 @@ struct FaultState {
     /// Dense per-directed-edge Bernoulli loss, if any link loss was
     /// configured. Layered on top of the class-wide [`LossModel`].
     edge_loss: Option<Vec<f64>>,
-    /// CSR packing + Dijkstra buffers reused across every reroute this
-    /// kernel performs (one reroute per fault event in a churn run).
-    reroute: crate::network::RerouteScratch,
 }
 
 /// Near/far split for the two-band scheduler. Per-hop packet delays are
@@ -685,7 +682,6 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
                 node_down: vec![false; self.net.node_count()],
                 edge_down: vec![false; self.net.graph().directed_edge_count()],
                 edge_loss: None,
-                reroute: crate::network::RerouteScratch::default(),
             }));
         }
     }
@@ -709,15 +705,10 @@ impl<M: Clone + Debug, T: Clone + Eq + Hash + Debug, C: Clone + Debug> Core<M, T
 
     /// Recomputes unicast routing over the surviving topology — the
     /// instantly-reconverged substrate the multicast protocols repair on.
-    /// Eager networks rebuild their tables (reusing the CSR + scratch held
-    /// in the fault state); on-demand networks invalidate only the cached
-    /// rows the fault touches.
+    /// Only the SPF rows the fault touches are dropped.
     fn reroute(&mut self) {
-        let mut f = self.faults.take().expect("faults installed");
-        self.net = self
-            .net
-            .rerouted(&f.node_down, &f.edge_down, &mut f.reroute);
-        self.faults = Some(f);
+        let f = self.faults.as_ref().expect("faults installed");
+        self.net = self.net.rerouted(&f.node_down, &f.edge_down);
     }
 
     fn forward(&mut self, at: NodeId, mut pkt: Packet<M>) {

@@ -5,20 +5,14 @@
 //! unicast substrate. (Unicast route *dynamics* are out of scope here as
 //! they are in the paper.)
 //!
-//! Routing is served through [`hbh_routing::RouteProvider`], in one of two
-//! materializations chosen at construction:
-//!
-//! * [`Network::new`]/[`Network::with_tables`] — eager all-pairs
-//!   [`RoutingTables`] plus a pre-resolved `n×n` hop array. Exact and the
-//!   fastest per-packet path; memory is O(n²). The paper-scale default,
-//!   byte-identical to the historical behaviour.
-//! * [`Network::on_demand`] — lazy [`OnDemandRoutes`]: per-source SPF rows
-//!   materialized on first consultation, LRU-bounded. Memory scales with
-//!   the routers actually forwarding, which is what makes 5k+ router
-//!   topologies fit.
+//! Routes come from one store, [`OnDemandRoutes`]: forward SPF rows over
+//! the router core, computed on first consultation and then read without
+//! a lock. [`Network::new`] has room for every core row;
+//! [`Network::on_demand`] caps the resident rows, and lookups past the cap
+//! recompute instead. Each row entry carries the first out-edge, so the
+//! per-packet step ([`Network::hop`]) needs no adjacency scan.
 
-use hbh_routing::{OnDemandRoutes, RouteProvider, RoutingTables};
-use hbh_topo::csr::Csr;
+use hbh_routing::{OnDemandRoutes, RouteProvider};
 use hbh_topo::graph::{Cost, EdgeId, Graph, NodeId, PathCost};
 use std::sync::Arc;
 
@@ -26,9 +20,8 @@ use std::sync::Arc;
 ///
 /// Internally reference-counted: [`Network::clone`] is an `Arc` bump, so
 /// the paired-run experiment design — four protocol kernels over one
-/// scenario draw — shares a single graph and a single routing service
-/// (including the on-demand row cache, which stays warm across the paired
-/// kernels) instead of recomputing per kernel.
+/// scenario draw — shares a single graph and a single set of SPF rows,
+/// which stay warm across the paired kernels.
 #[derive(Clone, Debug)]
 pub struct Network {
     inner: Arc<NetworkInner>,
@@ -39,111 +32,50 @@ struct NetworkInner {
     /// `Arc` so fault reroutes derive a post-failure [`Network`] without
     /// deep-copying the topology.
     graph: Arc<Graph>,
-    routes: RouteStore,
-}
-
-/// How unicast routes are materialized (see module docs).
-#[derive(Debug)]
-enum RouteStore {
-    Exact {
-        tables: RoutingTables,
-        /// `hops[u * n + v]`: the next-hop row with the out-edge
-        /// pre-resolved against `graph`, so a per-packet forwarding step is
-        /// one array read instead of a table lookup plus an adjacency scan.
-        /// Resolved here — not in `RoutingTables` — because QoS tables are
-        /// computed over a *shadow* graph whose edge ids need not match the
-        /// real one.
-        hops: Vec<HopEntry>,
-    },
-    OnDemand(Box<OnDemandRoutes>),
-}
-
-/// One resolved forwarding step. `next == NO_HOP` means unreachable (or
-/// `u == v`); `eid`/`cost` are then meaningless.
-#[derive(Clone, Copy, Debug)]
-struct HopEntry {
-    next: u32,
-    eid: EdgeId,
-    cost: Cost,
-}
-
-const NO_HOP: u32 = u32::MAX;
-
-/// Reusable state for repeated fault reroutes ([`Network::rerouted`]):
-/// the CSR packing of the pristine topology (built once per kernel, every
-/// fault event reuses it) and the Dijkstra working buffers.
-#[derive(Default)]
-pub struct RerouteScratch {
-    csr: Option<Arc<Csr>>,
-    dijkstra: hbh_routing::DijkstraScratch,
-}
-
-fn resolve_hops(graph: &Graph, tables: &RoutingTables) -> Vec<HopEntry> {
-    let n = graph.node_count();
-    let mut hops = vec![
-        HopEntry {
-            next: NO_HOP,
-            eid: EdgeId(0),
-            cost: 0
-        };
-        n * n
-    ];
-    for u in graph.nodes() {
-        for v in graph.nodes() {
-            if let Some(h) = tables.next_hop(u, v) {
-                let (eid, cost) = graph
-                    .edge_entry(u, h)
-                    .expect("next hop must follow a real link");
-                hops[u.index() * n + v.index()] = HopEntry {
-                    next: h.0,
-                    eid,
-                    cost,
-                };
-            }
-        }
-    }
-    hops
+    routes: OnDemandRoutes,
 }
 
 impl Network {
-    /// Builds eager all-pairs routing tables for the graph's current costs
-    /// and freezes both.
+    /// Freezes the graph with its unicast routes, with room for every
+    /// core SPF row.
     pub fn new(graph: Graph) -> Self {
-        let tables = RoutingTables::compute(&graph);
-        Self::with_tables(graph, tables)
+        let rows = graph.node_count().max(1);
+        Self::on_demand(graph, rows)
     }
 
-    /// Freezes the graph with externally computed tables (e.g.
-    /// bandwidth-constrained routing from `hbh-routing::qos`).
+    /// Freezes the graph with at most `cache_rows` SPF rows resident (see
+    /// [`OnDemandRoutes`]). Routes answered are identical to
+    /// [`Network::new`]; only memory and per-lookup cost differ.
+    pub fn on_demand(graph: Graph, cache_rows: usize) -> Self {
+        let routes = OnDemandRoutes::new(&graph, cache_rows);
+        Self::freeze(Arc::new(graph), routes)
+    }
+
+    /// Freezes `graph` with routes computed over `routing`, a copy of it
+    /// with other link costs (e.g. the bandwidth shadow of
+    /// `hbh-routing::qos`). Packets follow `routing`'s shortest paths but
+    /// are charged `graph`'s link costs.
     ///
     /// # Panics
-    /// Panics if the tables were built for a different node count.
-    pub fn with_tables(graph: Graph, tables: RoutingTables) -> Self {
+    /// Panics unless both graphs have the same nodes and edge ids.
+    pub fn routed_over(graph: Graph, routing: &Graph) -> Self {
         assert_eq!(
             graph.node_count(),
-            tables.node_count(),
-            "tables/graph mismatch"
+            routing.node_count(),
+            "routing graph has other nodes"
         );
-        let hops = resolve_hops(&graph, &tables);
-        Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::new(graph),
-                routes: RouteStore::Exact { tables, hops },
-            }),
-        }
+        assert_eq!(
+            graph.edge_ends_all(),
+            routing.edge_ends_all(),
+            "routing graph has other edge ids"
+        );
+        let routes = OnDemandRoutes::new(routing, graph.node_count().max(1));
+        Self::freeze(Arc::new(graph), routes)
     }
 
-    /// Freezes the graph with demand-driven routing: SPF rows computed on
-    /// first consultation, at most `cache_rows` resident (see
-    /// [`OnDemandRoutes`]). Routes answered are identical to
-    /// [`Network::new`]; only materialization and per-lookup cost differ.
-    pub fn on_demand(graph: Graph, cache_rows: usize) -> Self {
-        let csr = Arc::new(Csr::from_graph(&graph));
+    fn freeze(graph: Arc<Graph>, routes: OnDemandRoutes) -> Self {
         Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::new(graph),
-                routes: RouteStore::OnDemand(Box::new(OnDemandRoutes::from_csr(csr, cache_rows))),
-            }),
+            inner: Arc::new(NetworkInner { graph, routes }),
         }
     }
 
@@ -152,18 +84,9 @@ impl Network {
         &self.inner.graph
     }
 
-    /// The unicast routing service (either materialization).
+    /// The unicast routing service.
     pub fn routes(&self) -> &dyn RouteProvider {
-        match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables,
-            RouteStore::OnDemand(r) => r.as_ref(),
-        }
-    }
-
-    /// Whether this network serves routes lazily (scale mode) rather than
-    /// from eager all-pairs tables.
-    pub fn is_on_demand(&self) -> bool {
-        matches!(self.inner.routes, RouteStore::OnDemand(_))
+        &self.inner.routes
     }
 
     /// Number of nodes.
@@ -173,81 +96,35 @@ impl Network {
 
     /// Next hop of a packet at `at` destined to `dst`.
     pub fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables.next_hop(at, dst),
-            RouteStore::OnDemand(r) => r.next_hop(at, dst),
-        }
+        self.inner.routes.next_hop(at, dst)
     }
 
     /// Resolved forwarding step at `at` toward `dst`: the next hop plus
-    /// the out-edge's id and cost. With eager tables this is one array
-    /// read (the per-packet hot path); on demand it is a cached-row lookup
-    /// plus an adjacency probe for the edge.
+    /// the out-edge's id and cost, all read through the row's first
+    /// out-edge.
     pub fn hop(&self, at: NodeId, dst: NodeId) -> Option<(NodeId, EdgeId, Cost)> {
-        match &self.inner.routes {
-            RouteStore::Exact { hops, .. } => {
-                let n = self.inner.graph.node_count();
-                let e = hops[at.index() * n + dst.index()];
-                (e.next != NO_HOP).then_some((NodeId(e.next), e.eid, e.cost))
-            }
-            RouteStore::OnDemand(r) => {
-                let h = r.next_hop(at, dst)?;
-                let (eid, cost) = self
-                    .inner
-                    .graph
-                    .edge_entry(at, h)
-                    .expect("next hop must follow a real link");
-                Some((h, eid, cost))
-            }
-        }
+        let e = self.inner.routes.first_edge(at, dst)?;
+        let g = &self.inner.graph;
+        Some((g.edge_ends(e).to, e, g.edge_cost(e)))
     }
 
     /// Unicast distance (= minimal delay) `from → to`.
     pub fn dist(&self, from: NodeId, to: NodeId) -> Option<PathCost> {
-        match &self.inner.routes {
-            RouteStore::Exact { tables, .. } => tables.dist(from, to),
-            RouteStore::OnDemand(r) => r.dist(from, to),
-        }
+        self.inner.routes.dist(from, to)
     }
 
     /// Derives the post-failure network: same topology, routes answered
     /// over the surviving elements (nodes/edges flagged in the masks are
     /// absent). This models instantaneous unicast reconvergence after a
     /// failure — the substrate the multicast protocols repair on top of.
-    ///
-    /// Eager networks recompute their all-pairs tables (over the CSR view
-    /// cached in `scratch`); on-demand networks invalidate only the cached
-    /// rows the fault actually touches and keep the rest warm.
-    pub fn rerouted(
-        &self,
-        node_down: &[bool],
-        edge_down: &[bool],
-        scratch: &mut RerouteScratch,
-    ) -> Network {
-        let routes = match &self.inner.routes {
-            RouteStore::Exact { .. } => {
-                let csr = scratch
-                    .csr
-                    .get_or_insert_with(|| Arc::new(Csr::from_graph(&self.inner.graph)));
-                let tables = RoutingTables::compute_avoiding_csr_with(
-                    csr,
-                    node_down,
-                    edge_down,
-                    &mut scratch.dijkstra,
-                );
-                let hops = resolve_hops(&self.inner.graph, &tables);
-                RouteStore::Exact { tables, hops }
-            }
-            RouteStore::OnDemand(r) => {
-                RouteStore::OnDemand(Box::new(r.rerouted(node_down.to_vec(), edge_down.to_vec())))
-            }
-        };
-        Network {
-            inner: Arc::new(NetworkInner {
-                graph: Arc::clone(&self.inner.graph),
-                routes,
-            }),
-        }
+    /// Rows the fault cannot have changed are shared with `self` (see
+    /// [`OnDemandRoutes::rerouted`]).
+    pub fn rerouted(&self, node_down: &[bool], edge_down: &[bool]) -> Network {
+        let routes = self
+            .inner
+            .routes
+            .rerouted(node_down.to_vec(), edge_down.to_vec());
+        Self::freeze(Arc::clone(&self.inner.graph), routes)
     }
 
     /// Directed link cost, panicking on a nonexistent link (kernel-internal
@@ -269,6 +146,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbh_routing::RoutingTables;
 
     fn net() -> (Network, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -338,23 +216,35 @@ mod tests {
         g
     }
 
+    /// Every answer of `net` equals the all-pairs reference, and every
+    /// resolved hop follows a real link at its real cost.
+    fn assert_matches(net: &Network, g: &Graph, reference: &RoutingTables) {
+        for u in g.nodes() {
+            for v in g.nodes() {
+                assert_eq!(reference.dist(u, v), net.dist(u, v), "dist {u}->{v}");
+                let hop = reference.next_hop(u, v);
+                assert_eq!(hop, net.next_hop(u, v), "hop {u}->{v}");
+                let resolved = hop.map(|h| {
+                    let (eid, cost) = g.edge_entry(u, h).unwrap();
+                    (h, eid, cost)
+                });
+                assert_eq!(resolved, net.hop(u, v), "resolved hop {u}->{v}");
+            }
+        }
+    }
+
     #[test]
     fn on_demand_network_answers_like_eager() {
         let g = diamond();
-        let eager = Network::new(g.clone());
-        let lazy = Network::on_demand(g.clone(), 8);
-        assert!(lazy.is_on_demand() && !eager.is_on_demand());
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(eager.dist(u, v), lazy.dist(u, v), "dist {u}->{v}");
-                assert_eq!(eager.next_hop(u, v), lazy.next_hop(u, v), "hop {u}->{v}");
-                assert_eq!(eager.hop(u, v), lazy.hop(u, v), "resolved hop {u}->{v}");
-            }
-        }
-        assert!(lazy.routes().route_stats().computed > 0);
-        // The O(n²) vs O(rows) separation only shows at scale; here just
-        // check both report a live footprint.
-        assert!(lazy.routes().state_bytes() > 0 && eager.routes().state_bytes() > 0);
+        let reference = RoutingTables::compute(&g);
+        let full = Network::new(g.clone());
+        let capped = Network::on_demand(g.clone(), 1);
+        assert_matches(&full, &g, &reference);
+        assert_matches(&capped, &g, &reference);
+        let (full, capped) = (full.routes().route_stats(), capped.routes().route_stats());
+        assert_eq!(full.cached_rows, g.node_count(), "room for every row");
+        assert_eq!(capped.cached_rows, 1, "capacity caps resident rows");
+        assert!(capped.computed > full.computed);
     }
 
     #[test]
@@ -364,23 +254,57 @@ mod tests {
         let mut node_down = vec![false; g.node_count()];
         node_down[victim.index()] = true;
         let edge_down = vec![false; g.directed_edge_count()];
-        let fresh = Network::with_tables(
-            g.clone(),
-            RoutingTables::compute_avoiding(&g, &node_down, &edge_down),
-        );
-        let mut scratch = RerouteScratch::default();
-        for base in [Network::new(g.clone()), Network::on_demand(g.clone(), 8)] {
-            let re = base.rerouted(&node_down, &edge_down, &mut scratch);
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(fresh.dist(u, v), re.dist(u, v), "dist {u}->{v}");
-                    assert_eq!(fresh.hop(u, v), re.hop(u, v), "hop {u}->{v}");
-                }
-            }
+        let reference = RoutingTables::compute_avoiding(&g, &node_down, &edge_down);
+        for base in [Network::new(g.clone()), Network::on_demand(g.clone(), 1)] {
+            let re = base.rerouted(&node_down, &edge_down);
+            assert_matches(&re, &g, &reference);
             assert!(
                 std::ptr::eq(base.graph(), re.graph()),
                 "reroute must share the graph, not clone it"
             );
         }
+    }
+
+    #[test]
+    fn routed_over_follows_the_routing_graph_and_charges_real_costs() {
+        let g = diamond();
+        let mut routing = g.clone();
+        routing.set_cost(NodeId(0), NodeId(1), 9); // s→a now looks dear
+        let net = Network::routed_over(g.clone(), &routing);
+        let (s, b, t) = (NodeId(0), NodeId(2), NodeId(3));
+        assert_eq!(net.next_hop(s, t), Some(b), "detour via b");
+        let (eid, cost) = g.edge_entry(s, b).unwrap();
+        assert_eq!(net.hop(s, t), Some((b, eid, cost)));
+        assert_eq!(net.dist(s, t), Some(4), "routing-graph distance");
+    }
+
+    /// `Network` is shared across threads by the parallel figure runners.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Network>();
+    };
+
+    #[test]
+    fn racing_lookups_on_a_cold_row_compute_it_once() {
+        let g = diamond();
+        let reference = RoutingTables::compute(&g);
+        let net = Network::new(g);
+        let (s, t) = (NodeId(0), NodeId(3));
+        let before = net.routes().route_stats().computed;
+        let barrier = std::sync::Barrier::new(2);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        (net.hop(s, t), net.dist(s, t))
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[0].1, reference.dist(s, t));
+        assert_eq!(net.routes().route_stats().computed, before + 1);
     }
 }

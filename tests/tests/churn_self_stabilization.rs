@@ -123,10 +123,9 @@ proptest! {
         quiesce(&mut churned, &timing);
         let (churned_delays, churned_cost) = probe(&mut churned, ch);
 
-        // Fresh kernel on the surviving topology: same link-down routing
-        // tables, only the survivors ever join.
-        let tables = RoutingTables::compute_avoiding(&graph, &no_node_down, &edge_down);
-        let net = Network::with_tables(graph.clone(), tables);
+        // Fresh kernel on the surviving topology: same link-down routes,
+        // only the survivors ever join.
+        let net = Network::new(graph.clone()).rerouted(&no_node_down, &edge_down);
         let mut fresh = Kernel::new(net, Hbh::new(timing), seed);
         let mut fresh_script = Script::new().start_source(Time::ZERO, ch);
         for (i, &r) in survivors.iter().enumerate() {

@@ -1,60 +1,69 @@
-//! On-demand routing equivalence at the experiment level: every protocol
+//! Route-capacity equivalence at the experiment level: every protocol
 //! must produce bit-identical probe outcomes whether the scenario's
-//! `Network` materializes routes eagerly (all-pairs `RoutingTables`, the
-//! paper figures' setting) or lazily (`OnDemandRoutes`, LRU-cached SPF
-//! rows computed per forwarding node).
+//! `Network` keeps every SPF row resident (what `build()` gives the paper
+//! figures) or caps them at 4 rows, so that most lookups recompute their
+//! row.
 //!
-//! The provider-level proptests already check `next_hop`/`dist` agree on
-//! every pair; this is the end-to-end net: if the lazy provider diverged
-//! anywhere a kernel actually looks — including eviction and refill mid
-//! run — deliveries, delays, or event counts would differ.
+//! The provider-level proptests already check `next_hop`/`dist` agree with
+//! the all-pairs reference on every pair; this is the end-to-end net: if a
+//! capped network diverged anywhere a kernel actually looks, deliveries,
+//! delays, or event counts would differ.
 
 use hbh_experiments::protocols::{run_protocol, ProtocolKind};
-use hbh_experiments::scenario::{build, ScenarioOptions, TopologyKind};
+use hbh_experiments::scenario::{build, Scenario, ScenarioOptions, TopologyKind};
 use hbh_proto_base::Timing;
+use hbh_sim_core::Network;
 
-fn assert_eager_equals_on_demand(topo: TopologyKind, group_size: usize, seed: u64, cache: usize) {
+/// Resident rows of the capped rebuild.
+const CAPPED_ROWS: usize = 4;
+
+fn assert_capped_equals_full(topo: TopologyKind, group_size: usize, seed: u64) {
     let timing = Timing::default();
-    let eager_sc = build(topo, group_size, seed, &timing, &ScenarioOptions::default());
-    let lazy_opts = ScenarioOptions {
-        route_cache: Some(cache),
-        ..ScenarioOptions::default()
-    };
-    let lazy_sc = build(topo, group_size, seed, &timing, &lazy_opts);
-    assert!(!eager_sc.network().is_on_demand());
-    assert!(lazy_sc.network().is_on_demand());
+    let full = build(topo, group_size, seed, &timing, &ScenarioOptions::default());
+    let mut capped = Scenario::from_parts(
+        Network::on_demand(full.graph().clone(), CAPPED_ROWS),
+        full.source,
+        full.receivers.clone(),
+        full.join_times.clone(),
+        full.join_window,
+        full.seed,
+    );
+    capped.script = full.script.clone();
+    capped.faults = full.faults.clone();
     for kind in ProtocolKind::ALL {
-        let eager = run_protocol(kind, &eager_sc, &timing);
-        let lazy = run_protocol(kind, &lazy_sc, &timing);
+        let want = run_protocol(kind, &full, &timing);
+        let got = run_protocol(kind, &capped, &timing);
         assert_eq!(
-            eager,
-            lazy,
-            "{} diverged between eager and on-demand routing \
-             ({} m={group_size} seed={seed} cache={cache})",
+            want,
+            got,
+            "{} diverged between full and capped routes \
+             ({} m={group_size} seed={seed})",
             kind.name(),
             topo.name(),
         );
-        assert!(eager.complete(), "{} incomplete", kind.name());
+        assert!(want.complete(), "{} incomplete", kind.name());
     }
+    let rows = capped.network().routes().route_stats().cached_rows;
+    assert!(rows <= CAPPED_ROWS, "{rows} rows resident");
 }
 
 #[test]
 fn on_demand_outcomes_match_eager_on_isp() {
     for seed in [1, 42, 0xC0FFEE] {
-        assert_eager_equals_on_demand(TopologyKind::Isp, 8, seed, 64);
+        assert_capped_equals_full(TopologyKind::Isp, 8, seed);
     }
 }
 
 #[test]
 fn on_demand_outcomes_match_eager_under_eviction_pressure() {
-    // A 4-row LRU on the 36-node ISP graph forces constant eviction and
-    // recomputation while the kernels run; answers must not change.
-    assert_eager_equals_on_demand(TopologyKind::Isp, 8, 7, 4);
+    // A 4-row cap on the 36-node ISP graph: most lookups recompute their
+    // row while the kernels run; answers must not change.
+    assert_capped_equals_full(TopologyKind::Isp, 8, 7);
 }
 
 #[test]
 fn on_demand_outcomes_match_eager_on_rand50() {
     // One seed: rand50 is an order of magnitude slower in debug builds,
     // and the provider machinery is topology-agnostic.
-    assert_eager_equals_on_demand(TopologyKind::Rand50, 10, 7, 32);
+    assert_capped_equals_full(TopologyKind::Rand50, 10, 7);
 }
