@@ -1,5 +1,6 @@
-//! Membership-scale benchmark: the three [`Workload`] shapes (flash
-//! crowd, Zipf lineup, IPTV zapping) paired across the membership arms,
+//! Membership-scale benchmark: the three
+//! [`Workload`](hbh_proto_base::Workload) shapes (flash crowd, Zipf
+//! lineup, IPTV zapping) paired across the membership arms,
 //! plus the HBH-AGG flash-crowd storm sweep to 10⁵ receivers, reporting
 //! control volume, settle latency, and per-router state split by role
 //! (interior tree state vs. access-router member summaries).

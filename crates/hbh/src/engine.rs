@@ -125,11 +125,12 @@ impl Hbh {
     /// asymmetric reverse paths bypass it (Figure 9(b)'s "addressed to B"
     /// check implies the message has a specific upstream addressee).
     fn send_fusion(&self, mft: &HbhMft, ch: Channel, to: NodeId, ctx: &mut HCtx<'_>) {
-        let nodes: Vec<NodeId> = mft.live(ctx.now()).collect();
-        debug_assert!(!nodes.is_empty());
         if to == ctx.node {
             return; // the trigger was our own emission looping back
         }
+        let mut nodes = Vec::with_capacity(mft.len());
+        nodes.extend(mft.live(ctx.now()));
+        debug_assert!(!nodes.is_empty());
         let pkt = Packet::control(
             ctx.node,
             to,
@@ -384,8 +385,7 @@ impl Hbh {
         let Some(mft) = state.mft.get_mut(&ch) else {
             return; // table decayed while the fusion was in flight
         };
-        let relevant: Vec<NodeId> = mft.intersect(nodes, now).collect();
-        if relevant.is_empty() {
+        if mft.intersect(nodes, now).next().is_none() {
             return; // stale fusion that outlived the entries it names
         }
         // Nested-fusion disambiguation (see tables.rs module docs): a
@@ -396,8 +396,8 @@ impl Hbh {
             return; // consumed, deliberately without effect
         }
         // Rule (2): mark the listed entries — they will keep receiving
-        // tree messages but no data.
-        for n in relevant {
+        // tree messages but no data. `mark` skips absent and dead nodes.
+        for &n in nodes {
             if mft.mark(n, now) {
                 ctx.structural_change();
             }

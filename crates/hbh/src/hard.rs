@@ -37,7 +37,7 @@
 //! churn experiment are attributable to the state model, not to a
 //! different tree shape.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
+use crate::bits::{any_reachable_claimant, reach_fixpoint, Mask, Seed};
 use hbh_proto_base::reliable::{ReliableConfig, ReliableState, RtxVerdict};
 use hbh_proto_base::{Channel, Cmd, Timing};
 use hbh_sim_core::{Ctx, Packet, Protocol, Time};
@@ -287,35 +287,37 @@ impl HardMft {
     /// `n`, if any — the node this table believes actually serves `n`.
     /// Probe redirects hand this to a prober whose entry is marked.
     pub fn server_of(&self, n: NodeId) -> Option<NodeId> {
-        if !self
-            .entries
-            .iter()
-            .any(|e| e.node != n && e.covers.contains(&n))
-        {
-            return None;
+        let claims = |e: &HardEntry| e.node != n && e.covers.contains(&n);
+        // An unmarked entry is reachable by seed, so a first claimant that
+        // is unmarked is the answer. A marked one first may itself be
+        // reachable through a chain, and entry order decides the redirect
+        // target, so that case runs the fixpoint.
+        let first = self.entries.iter().find(|e| claims(e))?;
+        if !first.marked {
+            return Some(first.node);
         }
         let reach = self.data_reachable();
-        self.entries.iter().enumerate().find_map(|(i, e)| {
-            (reach.test(i) && e.node != n && e.covers.contains(&n)).then_some(e.node)
-        })
+        self.entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| (reach.test(i) && claims(e)).then_some(e.node))
     }
 
     /// Is `nodes` contained in the coverage of a data-reachable entry
     /// other than `sender`? (Nested-fusion disambiguation, as in the soft
-    /// table.)
+    /// table: one scan unless every claimant is marked.)
     pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId) -> bool {
-        if !self.entries.iter().any(|e| {
-            e.node != sender && !e.covers.is_empty() && nodes.iter().all(|n| e.covers.contains(n))
-        }) {
-            return false;
-        }
-        let reach = self.data_reachable();
-        self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        })
+        any_reachable_claimant(
+            self.entries.len(),
+            |i| {
+                let e = &self.entries[i];
+                let claims = e.node != sender
+                    && !e.covers.is_empty()
+                    && nodes.iter().all(|n| e.covers.contains(n));
+                claims.then_some(e.marked)
+            },
+            || self.data_reachable(),
+        )
     }
 
     /// Installs/updates the fusion sender `bp` claiming `covers`, marking
@@ -376,8 +378,9 @@ impl HardMft {
         self.entries.iter().filter(|e| !e.marked).map(|e| e.node)
     }
 
-    /// All entries (fusion payloads).
-    pub fn live(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// All entries (fusion payloads). Exact-size, so a fusion list
+    /// collected from it allocates once, at `len()`.
+    pub fn live(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         self.entries.iter().map(|e| e.node)
     }
 
@@ -1401,5 +1404,112 @@ impl Protocol for HbhHard {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// `server_of` with the fixpoint always run.
+    fn server_of_ref(m: &HardMft, n: NodeId) -> Option<NodeId> {
+        let reach = m.data_reachable();
+        m.entries.iter().enumerate().find_map(|(i, e)| {
+            (reach.test(i) && e.node != n && e.covers.contains(&n)).then_some(e.node)
+        })
+    }
+
+    /// `covered_by_other` with the fixpoint always run.
+    fn covered_by_other_ref(m: &HardMft, nodes: &[NodeId], sender: NodeId) -> bool {
+        let reach = m.data_reachable();
+        m.entries.iter().enumerate().any(|(i, e)| {
+            reach.test(i)
+                && e.node != sender
+                && !e.covers.is_empty()
+                && nodes.iter().all(|n| e.covers.contains(n))
+        })
+    }
+
+    fn random_nodes(rng: &mut StdRng, max_len: usize, width: u32) -> Vec<NodeId> {
+        let len = rng.random_range(0..=max_len);
+        (0..len)
+            .map(|_| NodeId(rng.random_range(0..width)))
+            .collect()
+    }
+
+    #[test]
+    fn coverage_queries_match_the_fixpoint_on_random_tables() {
+        const WIDTH: u32 = 10;
+        // Queries whose first claimant is marked take the fixpoint: both
+        // a chain-served and an orphaned outcome must occur.
+        let (mut chain_served, mut orphaned) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = HardMft::default();
+            // Receivers, fusion senders with nested claims (subsumption
+            // marks the narrower ones), explicit marks and removals.
+            for _ in 0..rng.random_range(1..30usize) {
+                let n = NodeId(rng.random_range(0..WIDTH));
+                match rng.random_range(0..6u8) {
+                    0 => {
+                        m.insert(n);
+                    }
+                    1 | 2 => {
+                        let covers = random_nodes(&mut rng, 4, WIDTH);
+                        m.install_fusion_sender(n, &covers);
+                    }
+                    3 | 4 => {
+                        m.mark(n);
+                    }
+                    _ => {
+                        m.remove(n);
+                    }
+                }
+            }
+            for q in (0..WIDTH).map(NodeId) {
+                let want = server_of_ref(&m, q);
+                assert_eq!(m.server_of(q), want, "seed {seed}: server_of({q})");
+                assert_eq!(m.served_by_other(q), want.is_some());
+                let first = m
+                    .entries
+                    .iter()
+                    .find(|e| e.node != q && e.covers.contains(&q));
+                if first.is_some_and(|e| e.marked) {
+                    if want.is_some() {
+                        chain_served += 1;
+                    } else {
+                        orphaned += 1;
+                    }
+                }
+            }
+            for _ in 0..20 {
+                let nodes = random_nodes(&mut rng, 3, WIDTH);
+                let sender = NodeId(rng.random_range(0..WIDTH));
+                assert_eq!(
+                    m.covered_by_other(&nodes, sender),
+                    covered_by_other_ref(&m, &nodes, sender),
+                    "seed {seed}: covered_by_other({nodes:?}, {sender})"
+                );
+            }
+        }
+        assert!(
+            chain_served > 0 && orphaned > 0,
+            "{chain_served} / {orphaned}"
+        );
+    }
+
+    #[test]
+    fn server_of_keeps_entry_order_past_a_marked_claimant() {
+        let mut m = HardMft::default();
+        m.insert(NodeId(7));
+        m.install_fusion_sender(NodeId(2), &[NodeId(7)]);
+        // The broader claim subsumes 2 (marked) yet serves it, so 2 stays
+        // data-reachable and, being first in entry order, serves 7.
+        m.install_fusion_sender(NodeId(3), &[NodeId(2), NodeId(7)]);
+        assert!(m.is_marked(NodeId(2)) && !m.is_marked(NodeId(3)));
+        assert_eq!(m.server_of(NodeId(7)), Some(NodeId(2)));
+        assert_eq!(m.server_of(NodeId(2)), Some(NodeId(3)));
     }
 }

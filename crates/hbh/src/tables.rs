@@ -2,7 +2,7 @@
 //!
 //! Compared to REUNITE's tables (see `hbh-reunite::tables`):
 //!
-//! * the MCT holds a **single** entry ("MCT<S> has one single entry" —
+//! * the MCT holds a **single** entry ("`MCT<S>` has one single entry" —
 //!   §3.1);
 //! * the MFT has **no `dst`** — data arriving at a branching node is
 //!   addressed to the node itself — and its entries carry the **marked**
@@ -34,7 +34,7 @@
 //! marks the senders it subsumes. `DESIGN.md` §5 records this as the one
 //! place we had to complete the paper's specification.
 
-use crate::bits::{reach_fixpoint, Mask, Seed};
+use crate::bits::{any_reachable_claimant, reach_fixpoint, Mask, Seed};
 use hbh_proto_base::{EntryPhase, SoftEntry, Timing};
 use hbh_sim_core::Time;
 use hbh_topo::graph::NodeId;
@@ -210,23 +210,10 @@ impl HbhMft {
     /// other than itself — i.e. does some branching node that actually
     /// receives data currently serve `n`? A claimant that is itself
     /// marked counts only if its own coverer chain bottoms out at a live
-    /// unmarked entry (see [`Self::data_reachable`]); an orphaned marked
-    /// claimant receives nothing and therefore serves nobody.
+    /// unmarked entry (the table's reachability fixpoint); an orphaned
+    /// marked claimant receives nothing and therefore serves nobody.
     pub fn served_by_other(&self, n: NodeId, now: Time) -> bool {
-        // Fast path: no live entry claims `n` at all (the common case at
-        // routers with no fusion activity) — skip the fixpoint entirely.
-        if !self
-            .entries
-            .iter()
-            .any(|e| !e.entry.is_dead(now) && e.node != n && e.covers.contains(&n))
-        {
-            return false;
-        }
-        let reach = self.data_reachable(now);
-        self.entries
-            .iter()
-            .enumerate()
-            .any(|(i, e)| reach.test(i) && e.node != n && e.covers.contains(&n))
+        self.any_reachable_claimant(now, |e| e.node != n && e.covers.contains(&n))
     }
 
     /// Is `nodes` contained in the coverage of a live, data-reachable
@@ -237,23 +224,22 @@ impl HbhMft {
     /// cannot veto a fusion from a node that is asking to serve the
     /// subtree itself.
     pub fn covered_by_other(&self, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
-        // Fast path: no live entry other than `sender` even claims the
-        // whole set — skip the fixpoint.
-        if !self.entries.iter().any(|e| {
-            !e.entry.is_dead(now)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
-        }) {
-            return false;
-        }
-        let reach = self.data_reachable(now);
-        self.entries.iter().enumerate().any(|(i, e)| {
-            reach.test(i)
-                && e.node != sender
-                && !e.covers.is_empty()
-                && nodes.iter().all(|n| e.covers.contains(n))
+        self.any_reachable_claimant(now, |e| {
+            e.node != sender && !e.covers.is_empty() && nodes.iter().all(|n| e.covers.contains(n))
         })
+    }
+
+    /// Does some live, data-reachable entry satisfy `claims`? (See
+    /// [`crate::bits::any_reachable_claimant`].)
+    fn any_reachable_claimant(&self, now: Time, claims: impl Fn(&MftEntry) -> bool) -> bool {
+        any_reachable_claimant(
+            self.entries.len(),
+            |i| {
+                let e = &self.entries[i];
+                (!e.entry.is_dead(now) && claims(e)).then_some(e.entry.marked)
+            },
+            || self.data_reachable(now),
+        )
     }
 
     /// Installs the fusion sender `Bp` claiming `covers`: stale from birth
@@ -383,9 +369,107 @@ impl HbhMft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn tm() -> Timing {
         Timing::default()
+    }
+
+    /// `served_by_other` with the fixpoint always run.
+    fn served_by_other_ref(m: &HbhMft, n: NodeId, now: Time) -> bool {
+        let reach = m.data_reachable(now);
+        m.entries
+            .iter()
+            .enumerate()
+            .any(|(i, e)| reach.test(i) && e.node != n && e.covers.contains(&n))
+    }
+
+    /// `covered_by_other` with the fixpoint always run.
+    fn covered_by_other_ref(m: &HbhMft, nodes: &[NodeId], sender: NodeId, now: Time) -> bool {
+        let reach = m.data_reachable(now);
+        m.entries.iter().enumerate().any(|(i, e)| {
+            reach.test(i)
+                && e.node != sender
+                && !e.covers.is_empty()
+                && nodes.iter().all(|n| e.covers.contains(n))
+        })
+    }
+
+    fn random_nodes(rng: &mut StdRng, max_len: usize, width: u32) -> Vec<NodeId> {
+        let len = rng.random_range(0..=max_len);
+        (0..len)
+            .map(|_| NodeId(rng.random_range(0..width)))
+            .collect()
+    }
+
+    #[test]
+    fn coverage_queries_match_the_fixpoint_on_random_tables() {
+        const WIDTH: u32 = 10;
+        let t = tm();
+        // Cases where every live claimant is marked, so the answer comes
+        // from the fixpoint: both outcomes must occur, or the random
+        // tables never reach the rare path.
+        let (mut chain_served, mut orphaned) = (0, 0);
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = HbhMft::default();
+            let mut now = Time(0);
+            // Receivers, fusion senders with nested claims (subsumption
+            // marks the narrower ones), explicit marks, and time steps
+            // that let unrefreshed entries go stale and die.
+            for _ in 0..rng.random_range(1..30usize) {
+                let n = NodeId(rng.random_range(0..WIDTH));
+                match rng.random_range(0..6u8) {
+                    0 => {
+                        m.refresh_or_insert(n, now, &t);
+                    }
+                    1 | 2 => {
+                        let covers = random_nodes(&mut rng, 4, WIDTH);
+                        m.install_fusion_sender(n, &covers, now, &t);
+                    }
+                    3 | 4 => {
+                        m.mark(n, now);
+                    }
+                    _ => now += rng.random_range(0..t.t2 / 2),
+                }
+            }
+            for q in (0..WIDTH).map(NodeId) {
+                let want = served_by_other_ref(&m, q, now);
+                assert_eq!(
+                    m.served_by_other(q, now),
+                    want,
+                    "seed {seed}: served_by_other({q})"
+                );
+                let all_marked = m.entries.iter().all(|e| {
+                    e.entry.is_dead(now) || e.node == q || !e.covers.contains(&q) || e.entry.marked
+                });
+                let claimed = m
+                    .entries
+                    .iter()
+                    .any(|e| !e.entry.is_dead(now) && e.node != q && e.covers.contains(&q));
+                if claimed && all_marked {
+                    if want {
+                        chain_served += 1;
+                    } else {
+                        orphaned += 1;
+                    }
+                }
+            }
+            for _ in 0..20 {
+                let nodes = random_nodes(&mut rng, 3, WIDTH);
+                let sender = NodeId(rng.random_range(0..WIDTH));
+                assert_eq!(
+                    m.covered_by_other(&nodes, sender, now),
+                    covered_by_other_ref(&m, &nodes, sender, now),
+                    "seed {seed}: covered_by_other({nodes:?}, {sender})"
+                );
+            }
+        }
+        assert!(
+            chain_served > 0 && orphaned > 0,
+            "{chain_served} / {orphaned}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The REUNITE protocol engine.
 //!
-//! ## Processing rules (per §2 of the HBH paper and [21])
+//! ## Processing rules (per §2 of the HBH paper and \[21\])
 //!
 //! **join(S, r)** — travels unicast toward `S`:
 //! * at the source: install `r` (first receiver becomes `MFT.dst`) or

@@ -26,7 +26,7 @@
 //! paper's Figure 2, which can change the route of *other* receivers and
 //! which HBH was designed to avoid.
 //!
-//! The implementation follows [21] as summarized in §2 of the HBH paper,
+//! The implementation follows \[21\] as summarized in §2 of the HBH paper,
 //! including the two pathologies the paper demonstrates under asymmetric
 //! unicast routing (non-shortest-path branches, Figure 2; duplicate copies
 //! on shared links, Figure 3). Branching-node migration for overloaded or

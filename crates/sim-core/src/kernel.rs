@@ -751,7 +751,7 @@ impl<'a, M, T> Ctx<'a, M, T> {
 
 /// The capability surface protocol handlers run against, object-safe.
 ///
-/// The simulation kernel's [`Core`] is the canonical implementation, but
+/// The simulation kernel's `Core` is the canonical implementation, but
 /// the trait is public so the *same protocol engines* can run over other
 /// backends — `hbh-live` implements it with real UDP sockets and
 /// wall-clock timers. Implementors provide: a clock, a routing view, an
